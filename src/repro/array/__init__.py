@@ -11,7 +11,7 @@ sigma-delta converter's signal bandwidth.
 
 from .element import ArrayElement
 from .array2d import SensorArray
-from .fusedscan import fused_scan_supported, run_fused_scan
+from .fusedscan import RowSource, fused_scan_supported, run_fused_scan
 from .imaging import (
     ArteryEstimate,
     FusionResult,
@@ -37,6 +37,7 @@ __all__ = [
     "ElementSelection",
     "FusionResult",
     "MuxTimingAnalysis",
+    "RowSource",
     "ScanController",
     "ScanSchedule",
     "ScanTruncation",

@@ -134,6 +134,31 @@ class SensorArray:
             out[:, k] = element.capacitance_f(flat[:, k])
         return out.reshape(pressures.shape)
 
+    def segment_capacitances_f(
+        self, dwell_pressures_pa: np.ndarray, first: int = 0
+    ) -> np.ndarray:
+        """Capacitance of consecutive elements for their own pressure rows.
+
+        Row i of ``dwell_pressures_pa`` (shape (m, dwell)) is the pressure
+        element ``first + i`` sees; the result has the same shape. Like
+        :meth:`capacitances_f`, one vectorized interpolant pass when the
+        elements share the array's transfer, else the per-element loop
+        (bit-identical either way).
+        """
+        rows = np.asarray(dwell_pressures_pa, dtype=float)
+        stop = first + rows.shape[0]
+        transfer = self.vectorized_transfer()
+        if transfer is not None:
+            scales, offsets = transfer
+            return (
+                self.sensor.capacitance_f(rows) * scales[first:stop, None]
+                + offsets[first:stop, None]
+            )
+        caps = np.empty_like(rows)
+        for i, k in enumerate(range(first, stop)):
+            caps[i] = self.elements[k].capacitance_f(rows[i])
+        return caps
+
     def rest_capacitances_f(self) -> np.ndarray:
         """Vector of zero-pressure capacitances (includes mismatch)."""
         return np.array([e.rest_capacitance_f for e in self.elements])

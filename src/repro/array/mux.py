@@ -172,18 +172,7 @@ class AnalogMultiplexer:
             )
         if segments.shape[1] < 1:
             raise ConfigurationError("dwell must be >= 1 sample")
-        transfer = self.array.vectorized_transfer()
-        if transfer is not None:
-            scales, offsets = transfer
-            caps = (
-                self.array.sensor.capacitance_f(segments)
-                * scales[:, None]
-                + offsets[:, None]
-            )
-        else:
-            caps = np.empty_like(segments)
-            for k in range(n_elements):
-                caps[k] = self.array.elements[k].capacitance_f(segments[k])
+        caps = self.array.segment_capacitances_f(segments)
         # Every visit is a switch except re-selecting the element that was
         # already routed when the scan started (k == 0 only: every later
         # visit k follows element k-1 != k).

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, SignalQualityError
 from ..parallel import ExecutorTelemetry, ParallelExecutor
+from . import fusedscan
 from .array2d import SensorArray
 from .mux import AnalogMultiplexer, ScanSchedule, analyze_mux_timing, plan_scan
 
@@ -235,14 +236,16 @@ class ScanController:
         segments:
             Alternative to ``element_pressures_pa`` for large arrays:
             shape (n_elements, dwell_mod_samples), row k the pressure
-            element k sees during its own visit. O(elements x dwell)
-            memory instead of O(samples x elements); implies the
-            batched/fused paths (``jobs`` and the sequential path need
-            the full field). ``dwell_s`` is ignored — the dwell is the
-            row length.
+            element k sees during its own visit — a matrix, or a
+            :class:`~repro.array.fusedscan.RowSource` that produces the
+            rows one lane block at a time (O(block x dwell) memory on
+            the fused path; a batched fallback asks it for every row at
+            once). Implies the batched/fused paths (``jobs`` and the
+            sequential path need the full field). ``dwell_s`` is
+            ignored — the dwell is the row length.
         fused:
-            Run the whole scan as one fused batch-kernel pass, every
-            element a lane — the 64x64-scan-in-one-call path. Falls
+            Run the whole scan through the fused batch kernel, every
+            element a lane, one lane block at a time. Falls
             back to ``batched=True`` (bit-identical for every supported
             configuration; see :mod:`repro.array.fusedscan`) when the
             C kernel is unavailable or the chain configuration is
@@ -250,9 +253,10 @@ class ScanController:
             records which path ran.
         """
         n_elements = self.array.n_elements
+        source = None
         if segments is not None:
-            segments = np.asarray(segments, dtype=float)
-            if segments.ndim != 2 or segments.shape[0] != n_elements:
+            source = fusedscan.row_source(segments)
+            if len(source.shape) != 2 or source.shape[0] != n_elements:
                 raise ConfigurationError(
                     "segments must have shape (n_elements, dwell_samples)"
                 )
@@ -261,7 +265,7 @@ class ScanController:
                     "segments are supported by the batched/fused scan "
                     "paths only; pass the full field for jobs/sequential"
                 )
-            dwell_mod = segments.shape[1]
+            dwell_mod = source.shape[1]
             pressures = None
         else:
             if element_pressures_pa is None:
@@ -278,15 +282,13 @@ class ScanController:
         records = []
         self.last_scan_fused = False
         if fused:
-            from .fusedscan import run_fused_scan
-
-            if segments is None:
+            if source is None:
                 idx = np.arange(n_elements)
                 windows = pressures[: dwell_mod * n_elements].reshape(
                     n_elements, dwell_mod, n_elements
                 )
-                segments = windows[idx, :, idx]
-            records = run_fused_scan(chain, segments)
+                source = fusedscan.row_source(windows[idx, :, idx])
+            records = fusedscan.run_fused_scan(chain, source)
             if records is not None:
                 self.last_scan_fused = True
             else:
@@ -303,8 +305,10 @@ class ScanController:
             )
             self.last_scan_telemetry = executor.telemetry
         elif not records and batched:
-            if segments is not None:
-                mod_outs = chain.chip.acquire_scan_segments(segments)
+            if source is not None:
+                mod_outs = chain.chip.acquire_scan_segments(
+                    source(0, n_elements)
+                )
             else:
                 mod_outs = chain.chip.acquire_pressure_scan(
                     pressures[: dwell_mod * n_elements], dwell_mod

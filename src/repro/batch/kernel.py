@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -451,8 +452,9 @@ def _try_compile_kernel():
     """Compile and load the batched C kernels; return the pair or None.
 
     Mirrors :func:`repro.sdm.fastpath._try_compile_kernel`: the shared
-    object lives in a private temporary directory kept for the process
-    lifetime, and any failure degrades silently to the Python fallback.
+    object is built in a private temporary directory that is removed
+    once the object is loaded (or the build fails), and any failure
+    degrades silently to the Python fallback.
     """
     compilers = [os.environ.get("REPRO_CC"), "cc", "gcc", "clang"]
     build_dir = tempfile.mkdtemp(prefix="repro-batch-kernel-")
@@ -479,6 +481,10 @@ def _try_compile_kernel():
         lib = ctypes.CDLL(lib_path)
     except OSError:
         return None
+    finally:
+        # A loaded object stays mapped once its file is gone, so the
+        # build directory never outlives this call.
+        shutil.rmtree(build_dir, ignore_errors=True)
 
     chain = lib.batch_chain_run
     chain.restype = ctypes.c_longlong

@@ -201,10 +201,11 @@ class ReadoutChain:
         :meth:`~repro.array.scan.ScanController.scan_records`); results
         are bit-identical for every worker count.
 
-        For large arrays pass ``segments`` ((n_elements, dwell) pressures,
-        O(elements x dwell) memory) and/or ``fused=True`` to run the whole
-        scan as one fused batch-kernel pass (bit-identical to
-        ``batched=True``; see :mod:`repro.array.fusedscan`).
+        For large arrays pass ``segments`` ((n_elements, dwell) pressures
+        or a :class:`~repro.array.fusedscan.RowSource` of them) and/or
+        ``fused=True`` to run the scan through the fused batch kernel one
+        lane block at a time (bit-identical to ``batched=True``; see
+        :mod:`repro.array.fusedscan`).
         """
         from ..array.scan import ScanController
 

@@ -23,11 +23,14 @@ per-column ΣΔ banks) comes from :meth:`ScanController.schedule`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..array.fusedscan import RowSource
 from ..array.imaging import amplitude_image, fuse_elements, localize_artery
 from ..array.scan import ScanController
 from ..core.chain import ReadoutChain
@@ -139,6 +142,79 @@ def _matched_snr(record: np.ndarray, template: np.ndarray) -> float:
     return amp / noise if noise > 0 else math.inf
 
 
+#: Samples per piece of stimulus synthesis (bounds its temporaries).
+_STIMULUS_PIECE = 1 << 14
+
+
+def _arterial_pressure(
+    start: int,
+    stop: int,
+    fs: float,
+    map_pa: float,
+    pp_pa: float,
+    pulse_rate_hz: float,
+) -> np.ndarray:
+    """The scan's arterial pressure at global modulator samples
+    ``[start, stop)``.
+
+    Every sample depends only on its global index ``t = i / fs``, so a
+    window is bit-identical to the same slice of the whole record. It is
+    evaluated a fixed-size piece at a time into one buffer, keeping the
+    transient memory O(piece). Pure NumPy: it runs on the prefetch
+    helper thread.
+    """
+    out = np.empty(stop - start)
+    for lo in range(start, stop, _STIMULUS_PIECE):
+        hi = min(lo + _STIMULUS_PIECE, stop)
+        t = np.arange(lo, hi) / fs
+        out[lo - start : hi - start] = (
+            map_pa
+            + 0.5 * pp_pa * np.sin(2 * np.pi * pulse_rate_hz * t)
+            + 0.15 * pp_pa * np.sin(2 * np.pi * 2 * pulse_rate_hz * t)
+        )
+    return out
+
+
+class _PrefetchedRows:
+    """Scan rows from a block stimulus synthesized one block ahead.
+
+    Serving block ``(k0, k1)`` hands the helper the next block's
+    stimulus window (same width, global sample indices) and then runs
+    the coupling on the calling thread, so the helper only ever runs
+    :func:`_arterial_pressure`. A range other than the one prefetched is
+    computed on the spot.
+    """
+
+    def __init__(self, coupling, dwell: int, stimulus, helper):
+        self.coupling = coupling
+        self.dwell = dwell
+        self.stimulus = stimulus
+        self.helper = helper
+        self.n_elements = coupling.geometry.rows * coupling.geometry.cols
+        self._pending = None
+
+    def _window(self, k0: int, k1: int) -> np.ndarray:
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            span, future = pending
+            window = future.result()
+            if span == (k0, k1):
+                return window
+        return self.stimulus(k0 * self.dwell, k1 * self.dwell)
+
+    def __call__(self, k0: int, k1: int) -> np.ndarray:
+        window = self._window(k0, k1)
+        if k1 < self.n_elements:
+            span = (k1, min(self.n_elements, 2 * k1 - k0))
+            future = self.helper.submit(
+                self.stimulus, span[0] * self.dwell, span[1] * self.dwell
+            )
+            self._pending = (span, future)
+        return self.coupling.scan_pressure_segments(
+            window, self.dwell, elements=(k0, k1)
+        )
+
+
 def run_imaging(
     params: SystemParams | None = None,
     rows: int = 8,
@@ -199,22 +275,28 @@ def run_imaging(
         geometry, contact, placement=placement, contact_heterogeneity=0.0
     )
 
-    # One arterial pulse per element visit, in O(elements x dwell)
-    # memory via per-element segments. The dwell carries the settling
-    # budget plus exactly one pulse period of valid words so the
-    # peak-to-peak amplitude is phase-invariant across elements.
+    # One arterial pulse per element visit. The dwell carries the
+    # settling budget plus exactly one pulse period of valid words so the
+    # peak-to-peak amplitude is phase-invariant across elements. The
+    # segments stream to the fused scan one lane block at a time, each
+    # block's stimulus synthesized on a helper thread while the kernel
+    # runs the block before it: O(block x dwell) memory.
     dwell_words = shared.words_per_visit
     dwell_mod = dwell_words * decim
-    fs = params.modulator.sampling_rate_hz
-    t = np.arange(n_elements * dwell_mod) / fs
-    pp_pa = 5000.0
-    arterial = (
-        coupling.contact.map_pa
-        + 0.5 * pp_pa * np.sin(2 * np.pi * pulse_rate_hz * t)
-        + 0.15 * pp_pa * np.sin(2 * np.pi * 2 * pulse_rate_hz * t)
+    stimulus = functools.partial(
+        _arterial_pressure,
+        fs=params.modulator.sampling_rate_hz,
+        map_pa=coupling.contact.map_pa,
+        pp_pa=5000.0,
+        pulse_rate_hz=pulse_rate_hz,
     )
-    segments = coupling.scan_pressure_segments(arterial, dwell_mod)
-    records = controller.scan_records(chain, segments=segments, fused=True)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        prefetched = _PrefetchedRows(coupling, dwell_mod, stimulus, helper)
+        records = controller.scan_records(
+            chain,
+            segments=RowSource(prefetched, (n_elements, dwell_mod)),
+            fused=True,
+        )
     truncation = controller.last_scan_truncation
     settled = records[shared.settle_words :][:period_words]
 

@@ -30,6 +30,7 @@ chain).
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -48,6 +49,11 @@ from .protocol import (
     pack_hello,
     split_frames,
 )
+
+#: How long a closing client waits, after its BYE and half-close, for
+#: the gateway to read the stream to its end and close in turn.
+CLOSE_TIMEOUT_S = 30.0
+
 
 #: Forward-window test: is ``seq`` strictly after ``acked`` (mod 2^16)?
 def _after(seq: int, acked: int) -> bool:
@@ -519,16 +525,31 @@ class DeviceClient:
             self._writer = None
 
     async def _close(self) -> None:
-        writer = self._writer
-        if self._reader_task is not None:
-            self._reader_task.cancel()
+        """Close the connection; after a BYE, without losing its tail.
+
+        A socket closed with ACKs unread (or still on their way) is reset
+        by the kernel, and the gateway then loses every byte it had not
+        read yet. So after the BYE the client half-closes, lets its ACK
+        reader run to the gateway's EOF, and only then closes.
+        """
+        writer, self._writer = self._writer, None
+        reader_task, self._reader_task = self._reader_task, None
+        if (
+            writer is not None
+            and reader_task is not None
+            and self.report.bye_sent
+        ):
+            with contextlib.suppress(ConnectionError, OSError):
+                writer.write_eof()
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(reader_task, CLOSE_TIMEOUT_S)
+        if reader_task is not None:
+            reader_task.cancel()
             try:
-                await self._reader_task
+                await reader_task
             except asyncio.CancelledError:
                 pass
-            self._reader_task = None
         if writer is not None:
-            self._writer = None
             try:
                 writer.close()
                 await writer.wait_closed()

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -133,10 +134,11 @@ _kernel: object = None
 def _try_compile_kernel():
     """Compile and load the C kernel; return the bound function or None.
 
-    The shared object lives in a private temporary directory that is kept
-    for the lifetime of the process (the library must stay mapped). Any
-    failure — no compiler, sandboxed filesystem, unloadable object —
-    degrades silently to the Python fallback.
+    The shared object is built in a private temporary directory that is
+    removed as soon as the object is loaded or the build fails (the
+    loaded library stays mapped without its file). Any failure — no
+    compiler, sandboxed filesystem, unloadable object — degrades
+    silently to the Python fallback.
     """
     compilers = [os.environ.get("REPRO_CC"), "cc", "gcc", "clang"]
     build_dir = tempfile.mkdtemp(prefix="repro-sdm-kernel-")
@@ -163,6 +165,10 @@ def _try_compile_kernel():
         lib = ctypes.CDLL(lib_path)
     except OSError:
         return None
+    finally:
+        # A loaded object stays mapped once its file is gone, so the
+        # build directory never outlives this call.
+        shutil.rmtree(build_dir, ignore_errors=True)
     fn = lib.sdm_run
     dbl_p = ctypes.POINTER(ctypes.c_double)
     fn.restype = ctypes.c_longlong

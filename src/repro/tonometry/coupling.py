@@ -134,6 +134,7 @@ class TonometricCoupling:
         arterial_pressure_pa: np.ndarray,
         dwell_samples: int,
         hold_down_pa: float | None = None,
+        elements: tuple[int, int] | None = None,
     ) -> np.ndarray:
         """Per-element dwell segments for a row-major scan of the array.
 
@@ -144,6 +145,12 @@ class TonometricCoupling:
         :meth:`element_pressures_pa` would materialize (171 GB at 64x64
         with a one-second dwell). Row k is bit-identical to the
         corresponding window/column of the full field.
+
+        ``elements=(k0, k1)`` returns only rows ``k0 .. k1-1``, from an
+        arterial record that starts at element ``k0``'s first dwell
+        sample; each row is bit-identical to the same row of the
+        whole-array call, so a scan can synthesize its segments one lane
+        block at a time.
         """
         arterial = np.asarray(arterial_pressure_pa, dtype=float)
         if arterial.ndim != 1:
@@ -151,17 +158,26 @@ class TonometricCoupling:
         if dwell_samples < 1:
             raise ConfigurationError("dwell must be >= 1 sample")
         n = self.geometry.rows * self.geometry.cols
-        if arterial.size < dwell_samples * n:
+        k0, k1 = (0, n) if elements is None else elements
+        if not 0 <= k0 < k1 <= n:
+            raise ConfigurationError(
+                f"element range must lie within [0, {n}) and be non-empty"
+            )
+        m = k1 - k0
+        if arterial.size < dwell_samples * m:
             raise ConfigurationError(
                 "arterial record too short for the requested scan"
             )
         state = self.contact.state(hold_down_pa)
-        weights = self.element_weights()
-        pulsatile = arterial[: dwell_samples * n].reshape(n, dwell_samples)
-        pulsatile = pulsatile - self.contact.map_pa
-        return state.static_membrane_pressure_pa + state.transmission * (
-            pulsatile * weights[:, None]
-        )
+        weights = self.element_weights()[k0:k1]
+        # static + transmission * ((arterial - map) * weight), evaluated
+        # in place: the same operations, without a temporary per step.
+        rows = arterial[: dwell_samples * m].reshape(m, dwell_samples)
+        rows = rows - self.contact.map_pa
+        rows *= weights[:, None]
+        rows *= state.transmission
+        rows += state.static_membrane_pressure_pa
+        return rows
 
     def effective_gain(self, hold_down_pa: float | None = None) -> np.ndarray:
         """Per-element d(P_membrane)/d(P_arterial) at the operating point."""

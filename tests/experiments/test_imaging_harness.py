@@ -1,8 +1,12 @@
 """The IMG pressure-imaging harness at reduced scale."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.array.fusedscan import RowSource
+from repro.array.scan import ScanController
 from repro.errors import ConfigurationError
 from repro.experiments import run_imaging
 
@@ -48,3 +52,32 @@ class TestImagingHarness:
             run_imaging(rows=1, cols=8)
         with pytest.raises(ConfigurationError):
             run_imaging(rows=8, cols=2)
+
+
+class TestImagingMemory:
+    def test_frame_peak_stays_below_half_a_segment_matrix(self, monkeypatch):
+        """The streamed scan never holds the (elements x dwell) matrix.
+
+        The whole-record version allocated the stimulus, the segment
+        matrix and the staged loop input, each that size.
+        """
+        run_imaging(rows=2, cols=3)  # kernel build and fit caches
+        shapes = []
+        original = ScanController.scan_records
+
+        def observe(self, chain, *args, segments=None, **kwargs):
+            if isinstance(segments, RowSource):
+                shapes.append(segments.shape)
+            return original(self, chain, *args, segments=segments, **kwargs)
+
+        monkeypatch.setattr(ScanController, "scan_records", observe)
+        tracemalloc.start()
+        try:
+            result = run_imaging(rows=8, cols=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.fused
+        ((n_elements, dwell),) = shapes
+        assert n_elements == 64
+        assert peak < 0.5 * n_elements * dwell * 8

@@ -324,3 +324,53 @@ class TestFailureModes:
                 session.reconcile()
 
         _run(body())
+
+
+class TestCloseUnderChaos:
+    def test_saturating_chaos_client_books_every_frame(self):
+        """After BYE the client half-closes and reads its ACKs to EOF.
+
+        Corrupted frames can look like DLE heartbeats, which the gateway
+        answers with ACKs. A saturating client that closes its socket
+        with those still unread makes the kernel reset the connection,
+        and the gateway loses every byte it had not read yet — silently,
+        since its books then close at decoded + lost. The fault schedule
+        ends one payload group before the stream does: a truncated final
+        frame swallowing the BYE behind it is a separate demux defect.
+        """
+        from repro.faults import FaultInjector, FaultSpec
+        from repro.gateway.chaos import CHAOS_KINDS
+
+        frames, spf, coalesce, frame_rate_hz = 65_536, 32, 8, 50.0
+        clean_tail = 64
+        faults = FaultInjector(
+            [
+                FaultSpec(kind=kind, rate_hz=1.0, magnitude=m)
+                for kind, m in zip(CHAOS_KINDS, (1.0, 0.5, 1.0, 1.0))
+            ],
+            seed=5,
+            horizon_s=(frames - clean_tail) / frame_rate_hz,
+        )
+
+        async def body(server):
+            client = DeviceClient(
+                server.host,
+                server.port,
+                device_id=9,
+                payloads=synthetic_payloads(frames, spf),
+                faults=faults,
+                fault_frame_rate_hz=frame_rate_hz,
+                coalesce_payloads=coalesce,
+            )
+            client.prepare()
+            report = await client.run()
+            assert await server.drain(timeout_s=30.0)
+            session = server.sessions[9]
+            view = session.telemetry_view()
+            return report, session.bye_seen, view
+
+        report, bye_seen, view = _run(_with_server(body))
+        assert report.faults_injected > 0
+        assert report.frames_sent == frames
+        assert bye_seen
+        assert view.frames_decoded + view.lost_frames == report.frames_sent
