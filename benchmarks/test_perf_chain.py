@@ -9,8 +9,9 @@ and later sessions can track regressions:
 * ``test_perf_streaming`` — a 60 s monitoring acquisition through the
   chunked :class:`~repro.core.session.AcquisitionSession` in 0.25 s
   chunks: bit-identical to the batch ``record_pressure`` path, telemetry
-  counters reconciling exactly, and tracemalloc peak memory bounded by
-  the chunk size instead of the session duration.
+  counters reconciling exactly, every chunk dispatched to the compiled
+  one-lane chain kernel when it is available, and tracemalloc peak
+  memory bounded by the chunk size instead of the session duration.
 """
 
 import json
@@ -22,6 +23,7 @@ import numpy as np
 
 from conftest import print_rows
 
+from repro.batch import batch_kernel_available
 from repro.core.chain import ReadoutChain
 from repro.core.monitor import BloodPressureMonitor
 from repro.params import (
@@ -194,6 +196,11 @@ def test_perf_streaming():
     )
     assert telemetry.chunks == int(STREAM_DURATION_S / STREAM_CHUNK_S)
 
+    # -- acceptance: the single session runs on the compiled kernel -----
+    # A count, not a timing: steady on shared runners.
+    if batch_kernel_available():
+        assert telemetry.fused_chunks == telemetry.chunks
+
     # -- acceptance: peak memory bounded by the chunk, not the duration --
     chunk_bytes = int(STREAM_CHUNK_S * 128_000) * 4 * 8
     assert telemetry.peak_chunk_bytes == chunk_bytes
@@ -210,6 +217,7 @@ def test_perf_streaming():
                 "duration_s": STREAM_DURATION_S,
                 "chunk_s": STREAM_CHUNK_S,
                 "chunks": telemetry.chunks,
+                "fused_chunks": telemetry.fused_chunks,
                 "batch_seconds": t_batch,
                 "streaming_seconds": t_stream,
                 "batch_peak_bytes": peak_batch,

@@ -22,7 +22,12 @@ transform and the jitter-slope carry, which the engine replays directly.
 
 The kernel runs on a batch padded to :data:`~repro.batch.kernel.LANE_BLOCK`
 lanes; padded lanes carry zero coefficients and inputs, and their
-outputs are discarded. Input staging buffers persist across chunks
+outputs are discarded. A one-lane engine — what a single
+:class:`~repro.core.session.AcquisitionSession` runs on — uses the
+one-lane build of the same kernel and stages no padding. Pressure chunks
+go through :meth:`BatchChainEngine.feed_pressures`, the one staging
+routine and decline policy for the compiled front end that single and
+batched sessions share. Input staging buffers persist across chunks
 (lane-major, stride-addressed) so a steady-state feed allocates nothing
 proportional to ``B * n``, and lanes without a given stochastic term
 share one all-zero row instead of materializing ``(B, n)`` zeros.
@@ -31,8 +36,13 @@ share one all-zero row instead of materializing ``(B, n)`` zeros.
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial import polyutils as _pu
 
+from ..array.element import ArrayElement
+from ..array.mux import AnalogMultiplexer
 from ..errors import ConfigurationError
+from ..mems.membrane import MembraneSensor
+from ..sdm.frontend import CapacitiveFrontEnd
 from . import kernel as batch_kernel
 from .kernel import BatchState
 
@@ -99,7 +109,7 @@ class BatchChainEngine:
         # Constant per-lane modulator coefficient vectors, padded to the
         # kernel's lane-block multiple with inert lanes (zero gains).
         B = len(chains)
-        Bp = batch_kernel.pad_lanes(B)
+        Bp = batch_kernel.staged_lanes(B)
         self._padded = Bp
         self._dac_gain = np.zeros(Bp)
         self._p1 = np.zeros(Bp)
@@ -169,6 +179,10 @@ class BatchChainEngine:
         self._zero_row: np.ndarray | None = None
         self._any_noise = bool(self._has_noise.any())
         self._any_dacn = bool(self._has_dacn.any())
+        # Compiled front-end constants, built on the first pressure chunk
+        # and rebuilt whenever a lane's element selection changes.
+        self._front = None
+        self._front_sel: list[int] | None = None
 
     @property
     def lanes(self) -> int:
@@ -256,6 +270,160 @@ class BatchChainEngine:
             )
             self._zero_row = np.zeros(size)
         return self._au
+
+    # -- compiled front end ------------------------------------------------
+
+    def _build_front(self):
+        """Per-lane constants for the compiled front end, or None.
+
+        The compiled front end covers the stock chip composition: a
+        plain mux routing one :class:`~repro.array.element.ArrayElement`
+        whose membrane transfer is the shared Chebyshev interpolant,
+        into the stock charge front end. Anything exotic (subclasses,
+        per-lane membrane fits) returns None and every pressure chunk is
+        declined to the caller's NumPy front end, which stays
+        bit-identical — just slower.
+        """
+        B = self.lanes
+        fit = None
+        sel = np.zeros(B, dtype=np.int64)
+        n_el = np.zeros(B, dtype=np.int64)
+        cscale = np.zeros(B)
+        coff = np.zeros(B)
+        inj_amt = np.zeros(B)
+        ref = np.zeros(B)
+        fb = np.zeros(B)
+        exc = np.zeros(B)
+        for l, c in enumerate(self.chains):
+            chip = c.chip
+            mux = chip.mux
+            fe = chip.frontend
+            if (
+                type(mux) is not AnalogMultiplexer
+                or type(fe) is not CapacitiveFrontEnd
+            ):
+                return None
+            el = mux.array.elements[mux._selected]
+            if type(el) is not ArrayElement:
+                return None
+            s = el.sensor
+            if type(s) is not MembraneSensor:
+                return None
+            if fit is None:
+                fit = s._fit
+                p_min, p_max = s._p_min, s._p_max
+            elif s._fit is not fit or s._p_min != p_min or s._p_max != p_max:
+                # Lanes with distinct membrane transfers (the shared
+                # precompute cache makes one fit object the norm).
+                return None
+            sel[l] = mux._selected
+            n_el[l] = mux.array.n_elements
+            cscale[l] = el.capacitance_scale
+            coff[l] = el.offset_cap_f
+            inj_amt[l] = mux.charge_injection_c / 2.5
+            ref[l] = fe.reference_cap_f
+            fb[l] = fe.feedback_cap_f
+            exc[l] = fe.excitation_fraction
+        if fit is None:  # pragma: no cover - B >= 1 always
+            return None
+        dom_off, dom_scl = _pu.mapparms(fit.domain, fit.window)
+        det = self._det
+        return {
+            "coef": np.ascontiguousarray(fit.coef, dtype=float),
+            "dom_off": float(dom_off),
+            "dom_scl": float(dom_scl),
+            "p_min": float(p_min),
+            "p_max": float(p_max),
+            "sel": sel,
+            "n_el": n_el,
+            "cscale": cscale,
+            "coff": coff,
+            "inj_amt": inj_amt,
+            "ref": ref,
+            "fb": fb,
+            "exc": exc,
+            # Fold the modulator input gain only for lanes whose prep is
+            # the identity; other lanes receive raw u for _prepare_inputs.
+            "a1_eff": np.where(det, self._a1[:B], 1.0),
+            "folded": det,
+        }
+
+    def feed_pressures(self, fields, n: int):
+        """Advance every lane by one pressure chunk, compiled end to end.
+
+        ``fields`` holds one ``(n, n_elements)`` pressure field per lane.
+        The compiled front end reads each lane's selected-element column
+        in place and stages the loop input straight into the kernel
+        buffers, then the chain kernel runs as in
+        :meth:`feed_loop_inputs`, whose ``(codes, clipped)`` this returns.
+
+        Returns None — with no state touched — when the chunk is
+        declined: no kernel, a loop-input hook on any lane, a front end
+        the compiled pass does not replay, a field it cannot read in
+        place, or a pressure outside the transfer's domain or a
+        non-positive capacitance. The caller then runs its NumPy front
+        end, which raises the exact error for a bad input.
+        """
+        if not self.uses_kernel:
+            return None
+        sel = [c.chip.mux._selected for c in self.chains]
+        if sel != self._front_sel:
+            self._front = self._build_front()
+            self._front_sel = sel
+        ff = self._front
+        if ff is None:
+            return None
+        B = self.lanes
+        pbase = np.zeros(B, dtype=np.uint64)
+        pstep = np.zeros(B, dtype=np.int64)
+        inj = np.zeros(B)
+        for l, c in enumerate(self.chains):
+            chip = c.chip
+            if chip.loop_input_hook is not None:
+                return None
+            arr = fields[l]
+            if (
+                arr.dtype != np.float64
+                or arr.ndim != 2
+                or arr.shape[1] != ff["n_el"][l]
+                or arr.strides[0] % 8
+                or arr.strides[1] % 8
+            ):
+                return None
+            pbase[l] = arr.ctypes.data + int(ff["sel"][l]) * arr.strides[1]
+            pstep[l] = arr.strides[0] // 8
+            if chip.mux._just_switched:
+                inj[l] = ff["inj_amt"][l]
+        au = self.ensure_buffers(n)
+        u_last = np.empty(B)
+        ok = batch_kernel.run_frontend_chunk(
+            n=n,
+            pbase=pbase,
+            pstep=pstep,
+            au=au,
+            au_stride=au.shape[1],
+            cheb_coef=ff["coef"],
+            dom_off=ff["dom_off"],
+            dom_scl=ff["dom_scl"],
+            p_min=ff["p_min"],
+            p_max=ff["p_max"],
+            cap_scale=ff["cscale"],
+            cap_offset=ff["coff"],
+            injection=inj,
+            ref_cap=ff["ref"],
+            fb_cap=ff["fb"],
+            excitation=ff["exc"],
+            a1=ff["a1_eff"],
+            u_last=u_last,
+        )
+        if not ok:
+            # Domain or positivity violation somewhere in the batch: the
+            # front end is pure (no state was touched), so the caller's
+            # replay raises the exact per-lane error.
+            return None
+        for c in self.chains:
+            c.chip.mux._just_switched = False
+        return self.run_prepared(n, folded=ff["folded"], u_last=u_last)
 
     # -- state marshalling -------------------------------------------------
 

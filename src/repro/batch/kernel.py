@@ -5,7 +5,7 @@ One call advances ``B`` independent readout chains by ``n`` modulator
 samples and returns every decimated 12-bit word the chunk completed, per
 lane. The whole digital cascade of :mod:`repro.dsp` runs *inside* the
 sample loop, so the bitstream never materializes and the per-stage
-Python seams of the single-session path disappear. A second entry point
+Python seams of the NumPy path disappear. A second entry point
 (:func:`run_frontend_chunk`) evaluates the capacitive front end — the
 membrane's Chebyshev transfer, per-element mismatch, the mux
 charge-injection glitch and the charge front-end gain — in the same
@@ -41,8 +41,11 @@ extended across the cascade):
 Lanes are processed in blocks of :data:`LANE_BLOCK` so the per-block
 working set (modulator and integrator state plus a handful of input
 streams) stays register- and L1-resident; the engine pads the batch to a
-block multiple with inert lanes. Reordering lanes into blocks never
-changes any single lane's operation sequence, so identity is unaffected.
+block multiple with inert lanes. The same chain body is also compiled
+one lane wide, so a single session (a one-lane engine) stages and runs
+exactly its own lane instead of eight. Reordering lanes into blocks
+never changes any single lane's operation sequence, so identity is
+unaffected.
 
 All decimation phases are scalar and shared: the engine requires every
 lane to be fed the same number of samples per call (lanes run in
@@ -64,17 +67,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Lanes per register block in the chain kernel; the engine pads B up to
-# a multiple of this with inert lanes. Must match #define LB below.
+# Lanes per register block in the chain kernel; the engine pads a
+# multi-lane batch up to a multiple of this with inert lanes.
 LANE_BLOCK = 8
 
-_BATCH_KERNEL_C_SOURCE = r"""
+# Register-block widths the chain kernel is compiled for: the padded
+# multi-lane block, and exactly one lane for a single session.
+_CHAIN_WIDTHS = (LANE_BLOCK, 1)
+
+_PRELUDE_C_SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
 
-#define LB 8   /* lanes per register block; Python pads B to a multiple */
 #define VW 8   /* samples per front-end vector block */
+"""
 
+# The chain kernel body, compiled once per width in _CHAIN_WIDTHS with
+# LB (lanes per register block) and CHAIN_RUN (exported name) defined.
+_CHAIN_C_SOURCE = r"""
 /* Fused batched chain: B second-order sigma-delta loops feeding B
  * CIC(order 3, diff delay 1) + FIR cascades, sharing scalar decimation
  * phases (lanes run in lockstep).
@@ -89,13 +99,14 @@ _BATCH_KERNEL_C_SOURCE = r"""
  *
  * Lanes advance in blocks of LB whose modulator/integrator/comb state
  * lives in local arrays (registers/L1) for the whole chunk; B must be a
- * multiple of LB (the Python layer pads with inert lanes).
+ * multiple of LB (the Python layer pads multi-lane batches with inert
+ * lanes and runs a single lane on the LB = 1 build).
  *
  * Arithmetic mirrors the Python reference stages operation for
  * operation (build with -ffp-contract=off). Returns the number of
  * emitted words per lane; state_out carries the final scalar phases.
  */
-long long batch_chain_run(
+long long CHAIN_RUN(
     long long n, long long B,
     const double *restrict au, long long au_stride,
     const double *restrict noise, long long noise_stride,
@@ -291,7 +302,9 @@ long long batch_chain_run(
     state_out[2] = head_out;
     return nw;
 }
+"""
 
+_FRONTEND_C_SOURCE = r"""
 /* One sample of the capacitive front end: domain map + Clenshaw
  * recurrence, exactly as numpy.polynomial.chebyshev.chebval orders the
  * operations (scalar coefficient minus element, then c1*x2 add). */
@@ -427,7 +440,18 @@ long long batch_frontend_run(
 }
 """
 
-# -O3 (vs the single-lane kernel's -O2) lets the compiler vectorize the
+_BATCH_KERNEL_C_SOURCE = "".join(
+    [_PRELUDE_C_SOURCE]
+    + [
+        f"#define LB {lb}\n#define CHAIN_RUN batch_chain_run_{lb}\n"
+        + _CHAIN_C_SOURCE
+        + "#undef CHAIN_RUN\n#undef LB\n"
+        for lb in _CHAIN_WIDTHS
+    ]
+    + [_FRONTEND_C_SOURCE]
+)
+
+# -O3 (vs the sigma-delta fast path's -O2) lets the compiler vectorize the
 # lane-block and front-end inner loops. SIMD across lanes/samples
 # preserves each element's operation order, and contraction stays off,
 # so identity is unaffected.
@@ -440,7 +464,8 @@ _CFLAGS = [
 ]
 
 # Module-level kernel cache: None = not tried yet, False = unavailable,
-# otherwise a (chain_fn, frontend_fn) tuple of loaded ctypes functions.
+# otherwise a ({width: chain_fn}, frontend_fn) pair of loaded ctypes
+# functions.
 _kernel: object = None
 
 _DBL_P = ctypes.POINTER(ctypes.c_double)
@@ -486,9 +511,7 @@ def _try_compile_kernel():
         # build directory never outlives this call.
         shutil.rmtree(build_dir, ignore_errors=True)
 
-    chain = lib.batch_chain_run
-    chain.restype = ctypes.c_longlong
-    chain.argtypes = [
+    chain_argtypes = [
         ctypes.c_longlong,  # n
         ctypes.c_longlong,  # B
         _DBL_P, ctypes.c_longlong,  # au, au_stride
@@ -520,6 +543,12 @@ def _try_compile_kernel():
         ctypes.c_longlong,  # cap
         _LL_P,  # state_out
     ]
+    chains = {}
+    for lb in _CHAIN_WIDTHS:
+        chain = getattr(lib, f"batch_chain_run_{lb}")
+        chain.restype = ctypes.c_longlong
+        chain.argtypes = chain_argtypes
+        chains[lb] = chain
 
     front = lib.batch_frontend_run
     front.restype = ctypes.c_longlong
@@ -543,7 +572,7 @@ def _try_compile_kernel():
         _DBL_P,  # a1
         _DBL_P,  # u_last
     ]
-    return (chain, front)
+    return (chains, front)
 
 
 def _get_kernel():
@@ -563,6 +592,12 @@ def pad_lanes(B: int) -> int:
     return -(-B // LANE_BLOCK) * LANE_BLOCK
 
 
+def staged_lanes(B: int) -> int:
+    """Lanes a ``B``-lane engine stages and runs: exactly one for a
+    single lane (the one-lane build), else :func:`pad_lanes`."""
+    return 1 if B == 1 else pad_lanes(B)
+
+
 @dataclass
 class BatchState:
     """Mutable per-batch cascade state the kernel reads and writes.
@@ -571,7 +606,7 @@ class BatchState:
     and writes it back afterwards, so the chains stay the single source
     of truth (any chunk split, or a hand-off to single-session
     processing, resumes bit-exactly). Arrays are sized to the padded
-    batch (``pad_lanes(B)``); rows past the real batch are inert.
+    batch (``staged_lanes(B)``); rows past the real batch are inert.
     """
 
     x1: np.ndarray  # (Bp) float64 first-integrator states
@@ -619,6 +654,9 @@ def run_batch_chunk(
 ) -> BatchChunkResult:
     """Advance ``Bp`` fused chains by ``n`` samples through the C kernel.
 
+    ``Bp`` (the size of the per-lane vectors) is 1 — the one-lane build —
+    or a multiple of :data:`LANE_BLOCK`.
+
     ``au``/``noise``/``dac_noise`` are lane-major buffers addressed as
     ``base[l * stride + i]`` — a stride of 0 shares one zero row across
     every lane. ``state`` is updated in place. The caller is responsible
@@ -629,8 +667,8 @@ def run_batch_chunk(
     kernel = _get_kernel()
     if kernel is None:  # pragma: no cover - engine guards this
         raise RuntimeError("batched kernel unavailable; use the engine fallback")
-    chain_fn = kernel[0]
     B = int(dac_gain.size)
+    chain_fn = kernel[0][1 if B == 1 else LANE_BLOCK]
     taps = int(fir_flipped.size)
     R = int(cic_decimation)
     M = int(fir_decimation)

@@ -33,18 +33,10 @@ import time
 
 import numpy as np
 
-from numpy.polynomial import polyutils as _pu
-
-from ..array.element import ArrayElement
-from ..array.mux import AnalogMultiplexer
 from ..core.chain import ChainRecording
 from ..core.session import PipelineTelemetry
-from ..dsp.fixed_point import saturate
 from ..errors import ConfigurationError
 from ..faults.detection import QualityConfig, quality_mask
-from ..mems.membrane import MembraneSensor
-from ..sdm.frontend import CapacitiveFrontEnd
-from . import kernel as batch_kernel
 from .engine import BatchChainEngine
 
 
@@ -106,151 +98,6 @@ class BatchAcquisitionSession:
         self._quality_config = quality or QualityConfig()
         self._kind: str | None = None
         self._finished = False
-        self._fast_front = self._build_fast_front()
-
-    def _build_fast_front(self):
-        """Per-lane constants for the fused C front end, or None.
-
-        The compiled front end covers the stock chip composition: a
-        plain mux routing one :class:`~repro.array.element.ArrayElement`
-        whose membrane transfer is the shared Chebyshev interpolant,
-        into the stock charge front end. Anything exotic (subclasses,
-        per-lane membrane fits, loop-input hooks) falls back to the
-        per-lane NumPy front end, which stays bit-identical — just
-        slower.
-        """
-        B = self.lanes
-        fit = None
-        sel = np.zeros(B, dtype=np.int64)
-        n_el = np.zeros(B, dtype=np.int64)
-        cscale = np.zeros(B)
-        coff = np.zeros(B)
-        inj_amt = np.zeros(B)
-        ref = np.zeros(B)
-        fb = np.zeros(B)
-        exc = np.zeros(B)
-        for l, c in enumerate(self.chains):
-            chip = c.chip
-            mux = chip.mux
-            fe = chip.frontend
-            if (
-                type(mux) is not AnalogMultiplexer
-                or type(fe) is not CapacitiveFrontEnd
-            ):
-                return None
-            el = mux.array.elements[mux._selected]
-            if type(el) is not ArrayElement:
-                return None
-            s = el.sensor
-            if type(s) is not MembraneSensor:
-                return None
-            if fit is None:
-                fit = s._fit
-                p_min, p_max = s._p_min, s._p_max
-            elif s._fit is not fit or s._p_min != p_min or s._p_max != p_max:
-                # Lanes with distinct membrane transfers (the shared
-                # precompute cache makes one fit object the norm).
-                return None
-            sel[l] = mux._selected
-            n_el[l] = mux.array.n_elements
-            cscale[l] = el.capacitance_scale
-            coff[l] = el.offset_cap_f
-            inj_amt[l] = mux.charge_injection_c / 2.5
-            ref[l] = fe.reference_cap_f
-            fb[l] = fe.feedback_cap_f
-            exc[l] = fe.excitation_fraction
-        if fit is None:  # pragma: no cover - B >= 1 always
-            return None
-        dom_off, dom_scl = _pu.mapparms(fit.domain, fit.window)
-        det = self.engine.deterministic_lanes
-        return {
-            "coef": np.ascontiguousarray(fit.coef, dtype=float),
-            "dom_off": float(dom_off),
-            "dom_scl": float(dom_scl),
-            "p_min": float(p_min),
-            "p_max": float(p_max),
-            "sel": sel,
-            "n_el": n_el,
-            "cscale": cscale,
-            "coff": coff,
-            "inj_amt": inj_amt,
-            "ref": ref,
-            "fb": fb,
-            "exc": exc,
-            # Fold the modulator input gain only for lanes whose prep is
-            # the identity; other lanes receive raw u for _prepare_inputs.
-            "a1_eff": np.where(det, self.engine._a1[:B], 1.0),
-            "folded": det,
-        }
-
-    def _fused_frontend(self, fields, n: int) -> bool:
-        """Try the compiled front end + chain kernel staging for a chunk.
-
-        Returns True when the lanes' ``au`` rows (and ``u_last``) were
-        staged by the C front end; False means the caller must use the
-        per-lane NumPy path (which also raises the exact errors for
-        out-of-range or non-positive inputs).
-        """
-        ff = self._fast_front
-        if ff is None or not self.engine.uses_kernel:
-            return False
-        B = self.lanes
-        pbase = np.zeros(B, dtype=np.uint64)
-        pstep = np.zeros(B, dtype=np.int64)
-        inj = np.zeros(B)
-        for l, c in enumerate(self.chains):
-            chip = c.chip
-            mux = chip.mux
-            if chip.loop_input_hook is not None:
-                return False
-            if mux._selected != ff["sel"][l]:
-                # Element switched behind the session's back; let the
-                # per-lane path handle (and re-validate) it.
-                return False
-            arr = fields[l]
-            if (
-                arr.dtype != np.float64
-                or arr.ndim != 2
-                or arr.shape[1] != ff["n_el"][l]
-                or arr.strides[0] % 8
-                or arr.strides[1] % 8
-            ):
-                return False
-            pbase[l] = arr.ctypes.data + int(ff["sel"][l]) * arr.strides[1]
-            pstep[l] = arr.strides[0] // 8
-            if mux._just_switched:
-                inj[l] = ff["inj_amt"][l]
-        au = self.engine.ensure_buffers(n)
-        u_last = np.empty(B)
-        ok = batch_kernel.run_frontend_chunk(
-            n=n,
-            pbase=pbase,
-            pstep=pstep,
-            au=au,
-            au_stride=au.shape[1],
-            cheb_coef=ff["coef"],
-            dom_off=ff["dom_off"],
-            dom_scl=ff["dom_scl"],
-            p_min=ff["p_min"],
-            p_max=ff["p_max"],
-            cap_scale=ff["cscale"],
-            cap_offset=ff["coff"],
-            injection=inj,
-            ref_cap=ff["ref"],
-            fb_cap=ff["fb"],
-            excitation=ff["exc"],
-            a1=ff["a1_eff"],
-            u_last=u_last,
-        )
-        if not ok:
-            # Domain or positivity violation somewhere in the batch: the
-            # front end is pure (no state was touched), so replay through
-            # the per-lane path to raise the exact per-lane error.
-            return False
-        for c in self.chains:
-            c.chip.mux._just_switched = False
-        self._staged_u_last = u_last
-        return True
 
     @property
     def lanes(self) -> int:
@@ -329,15 +176,12 @@ class BatchAcquisitionSession:
 
         B = self.lanes
         t0 = time.perf_counter()
-        if kind == "pressure" and self._fused_frontend(lane_inputs, n):
-            # Compiled front end staged a1*u (deterministic lanes) or
-            # raw u directly into the kernel buffers — no (n, B) copies.
-            codes, clipped = self.engine.run_prepared(
-                n,
-                folded=self._fast_front["folded"],
-                u_last=self._staged_u_last,
-            )
-        else:
+        result = None
+        if kind == "pressure":
+            # Compiled front end: a1*u (deterministic lanes) or raw u
+            # staged directly into the kernel buffers — no (n, B) copies.
+            result = self.engine.feed_pressures(lane_inputs, n)
+        if result is None:
             # Front end per lane: route, convert to loop input, honor
             # hooks.
             u = np.empty((n, B))
@@ -351,7 +195,9 @@ class BatchAcquisitionSession:
                 if chip.loop_input_hook is not None:
                     ul = chip.loop_input_hook(ul)
                 u[:, l] = ul
-            codes, clipped = self.engine.feed_loop_inputs(u)
+            result = self.engine.feed_loop_inputs(u)
+        codes, clipped = result
+        fused = int(self.engine.uses_kernel)
         t1 = time.perf_counter()
         mod_dt = (t1 - t0) / B
 
@@ -359,6 +205,7 @@ class BatchAcquisitionSession:
         for l, c in enumerate(self.chains):
             tm = self.telemetries[l]
             tm.chunks += 1
+            tm.fused_chunks += fused
             tm.peak_chunk_bytes = max(
                 tm.peak_chunk_bytes, lane_inputs[l].nbytes
             )
@@ -368,21 +215,10 @@ class BatchAcquisitionSession:
             tm.clipped_samples += int(clipped[l])
 
             fpga = c.fpga
-            lane_codes = codes[l]
-            fpga.samples_in += n
-            fpga.words_filtered += lane_codes.size
-            tm.words_filtered += lane_codes.size
-            if fpga._suppress > 0:
-                drop = min(fpga._suppress, lane_codes.size)
-                lane_codes = lane_codes[drop:]
-                fpga._suppress -= drop
-                fpga.words_suppressed += drop
-                tm.words_suppressed += drop
-            if lane_codes.size and fpga.word_hook is not None:
-                lane_codes = np.asarray(fpga.word_hook(lane_codes))
-            # Same rail handling as FPGAFilterBank.process: saturate to
-            # the i16 sample range, never wrap.
-            lane_codes = saturate(lane_codes, 16).astype(np.int64)
+            suppressed_before = fpga.words_suppressed
+            tm.words_filtered += codes[l].size
+            lane_codes = fpga.condition_words(codes[l], n).astype(np.int64)
+            tm.words_suppressed += fpga.words_suppressed - suppressed_before
 
             # Framing elided: synthesize the frame counters from the
             # encoder's grouping so the reconcile identities hold.
@@ -434,7 +270,6 @@ class BatchAcquisitionSession:
         self._codes.append([])
         self._pending.append(0)
         self._spf.append(chain.fpga.encoder.samples_per_frame)
-        self._fast_front = self._build_fast_front()
         return lane
 
     def detach_lane(self, lane: int):
@@ -461,7 +296,6 @@ class BatchAcquisitionSession:
             if chunks
             else np.zeros(0, dtype=np.int64)
         )
-        self._fast_front = self._build_fast_front()
         recording = ChainRecording(
             codes=codes,
             sample_rate_hz=chain.output_rate_hz,

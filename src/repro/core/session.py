@@ -11,6 +11,22 @@ persist across chunk boundaries, so the concatenated chunked output is
 (:meth:`~repro.core.chain.ReadoutChain.record_pressure` is itself a thin
 wrapper over a session).
 
+A session is one lane of the lane-axis engine of :mod:`repro.batch`:
+whenever the compiled kernel can take a chunk, the front end (membrane
+transfer, mismatch, charge injection, charge amplifier) and the
+ΣΔ → CIC → FIR cascade run as a one-lane
+:class:`~repro.batch.engine.BatchChainEngine` pass, and the FPGA's
+post-filter path — suppression window, word hook, i16 saturation — then
+frames the words for the USB decoder and host sample stream as always.
+The per-stage NumPy path (``chebval`` front end, ΣΔ backend, CIC/FIR
+filter, framing) runs instead, with the same bits, under fault injection
+or a loop-input hook, with the ``"reference"`` modulator backend (the
+oracle), a metastable comparator, a front end the compiled pass does not
+replay, or no C compiler; a chunk with a pressure outside the transducer
+range or a non-positive capacitance replays through it and raises its
+exact error. :attr:`PipelineTelemetry.fused_chunks` counts the chunks
+that ran compiled.
+
 Every session carries a :class:`PipelineTelemetry` that counts what each
 stage consumed and produced (modulator samples in, bits out, words
 filtered/suppressed, frames framed/decoded/lost, words delivered) and
@@ -34,6 +50,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -43,7 +60,10 @@ from ..daq.usb import FrameDecoder
 from ..faults.detection import QualityConfig, quality_mask
 from .chain import ChainRecording
 
-#: Pipeline stages, in dataflow order, as they appear in telemetry.
+#: Pipeline stages, in dataflow order, as they appear in telemetry. On
+#: the compiled path (:attr:`PipelineTelemetry.fused_chunks`)
+#: ``"modulator"`` covers the front end through the FIR and ``"fpga"``
+#: only the suppression window and framing.
 STAGES = ("synthesis", "modulator", "fpga", "decode", "ingest")
 
 
@@ -54,13 +74,19 @@ class PipelineTelemetry:
     All counters are cumulative over the session's lifetime. Stage wall
     times land in :attr:`stage_seconds` under the :data:`STAGES` keys
     (``synthesis`` is filled by callers that generate the input field
-    chunk-by-chunk, e.g. the streaming monitor).
+    chunk-by-chunk, e.g. the streaming monitor). For a chunk that ran
+    on the compiled path (counted in :attr:`fused_chunks`) the
+    ``modulator`` stage covers front end → ΣΔ → CIC → FIR in one kernel
+    pass and ``fpga`` only the suppression window and framing.
     """
 
     #: Decimation factor R of the chain (modulator clocks per word).
     decimation_factor: int = 0
     #: Chunks fed so far.
     chunks: int = 0
+    #: Chunks whose front end → FIR ran on the compiled batch kernel
+    #: (the rest ran the per-stage NumPy path).
+    fused_chunks: int = 0
     #: Modulator-rate input samples consumed.
     mod_samples_in: int = 0
     #: Bitstream bits produced by the modulator.
@@ -161,6 +187,8 @@ class PipelineTelemetry:
                     f"telemetry inconsistency: {what} ({self})"
                 )
 
+        require(self.fused_chunks <= self.chunks,
+                "cannot run more chunks compiled than were fed")
         require(self.bits_out == self.mod_samples_in,
                 "modulator must emit one bit per input sample")
         if self.decimation_factor > 0:
@@ -217,6 +245,7 @@ class PipelineTelemetry:
             total.decimation_factor = factors.pop()
         for p in parts:
             total.chunks += p.chunks
+            total.fused_chunks += p.fused_chunks
             total.mod_samples_in += p.mod_samples_in
             total.bits_out += p.bits_out
             total.clipped_samples += p.clipped_samples
@@ -247,7 +276,8 @@ class PipelineTelemetry:
         lines = [
             "PipelineTelemetry",
             f"  chunks            : {self.chunks} "
-            f"(peak {self.peak_chunk_bytes / 1024:.0f} KiB)",
+            f"({self.fused_chunks} compiled, "
+            f"peak {self.peak_chunk_bytes / 1024:.0f} KiB)",
             f"  modulator         : {self.mod_samples_in} samples in, "
             f"{self.bits_out} bits out, {self.clipped_samples} clipped",
             f"  decimator         : {self.words_filtered} words "
@@ -336,6 +366,7 @@ class AcquisitionSession:
         self._kind: str | None = None
         self._finished = False
         self._quality_config = quality or QualityConfig()
+        self._engine = None
         self.faults = faults
         if faults is not None:
             faults.bind(chain)
@@ -399,29 +430,47 @@ class AcquisitionSession:
 
         tm = self.telemetry
         chip, fpga = self.chain.chip, self.chain.fpga
+        n = chunk.shape[0]
         tm.chunks += 1
         tm.peak_chunk_bytes = max(tm.peak_chunk_bytes, chunk.nbytes)
 
         t0 = time.perf_counter()
-        if self.faults is not None and kind == "pressure":
-            chunk = self.faults.apply_array(chunk)
-        if kind == "pressure":
-            mod_out = chip.acquire_pressure(chunk)
+        result = None
+        engine = self._kernel_engine()
+        if engine is not None:
+            if kind == "pressure":
+                result = engine.feed_pressures([chunk], n)
+            else:
+                u = chip.voltage_input.loop_input(chunk)
+                result = engine.feed_loop_inputs(u[:, None])
+        if result is not None:
+            # One-lane kernel pass: front end through FIR, then the
+            # FPGA's real post-filter path and framing.
+            codes, clipped = result
+            tm.fused_chunks += 1
+            tm.clipped_samples += int(clipped[0])
+            step = partial(fpga.frame_words, codes[0], n)
         else:
-            mod_out = chip.acquire_voltage(chunk)
+            if self.faults is not None and kind == "pressure":
+                chunk = self.faults.apply_array(chunk)
+            if kind == "pressure":
+                mod_out = chip.acquire_pressure(chunk)
+            else:
+                mod_out = chip.acquire_voltage(chunk)
+            tm.clipped_samples += mod_out.clipped_samples
+            bitstream = mod_out.bitstream
+            if self.faults is not None:
+                bitstream = self.faults.apply_bitstream(bitstream)
+            step = partial(fpga.process, bitstream.astype(np.int64))
         t1 = time.perf_counter()
         tm.add_stage_seconds("modulator", t1 - t0)
-        tm.mod_samples_in += chunk.shape[0]
-        tm.bits_out += mod_out.bitstream.size
-        tm.clipped_samples += mod_out.clipped_samples
+        tm.mod_samples_in += n
+        tm.bits_out += n
 
-        bitstream = mod_out.bitstream
-        if self.faults is not None:
-            bitstream = self.faults.apply_bitstream(bitstream)
         words_before = fpga.words_filtered
         suppressed_before = fpga.words_suppressed
         frames_before = fpga.encoder.frames_emitted
-        payload = fpga.process(bitstream.astype(np.int64))
+        payload = step()
         t2 = time.perf_counter()
         tm.add_stage_seconds("fpga", t2 - t1)
         tm.words_filtered += fpga.words_filtered - words_before
@@ -432,6 +481,30 @@ class AcquisitionSession:
             tm.faults_injected = self.faults.events_applied
 
         return self._deliver(payload, t2)
+
+    def _kernel_engine(self):
+        """The session's one-lane batch engine, or None for the per-stage path.
+
+        None under fault injection or a loop-input hook (both tap the
+        per-stage seams), with the ``"reference"`` modulator backend (the
+        oracle), and whenever the engine cannot run the compiled kernel
+        (no C compiler, a metastable comparator, a degenerate DAC gain or
+        a non-stock CIC). The engine itself declines pressure chunks its
+        compiled front end cannot take.
+        """
+        chip = self.chain.chip
+        if (
+            self.faults is not None
+            or chip.loop_input_hook is not None
+            or chip.modulator.backend != "fast"
+        ):
+            return None
+        if self._engine is None:
+            # Imported here: repro.batch builds on this module.
+            from ..batch.engine import BatchChainEngine
+
+            self._engine = BatchChainEngine([self.chain])
+        return self._engine if self._engine.uses_kernel else None
 
     def _deliver(
         self, payload: bytes, t_start: float, final: bool = False

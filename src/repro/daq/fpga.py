@@ -83,9 +83,34 @@ class FPGAFilterBank:
     def process(self, bitstream: np.ndarray) -> bytes:
         """Filter a bitstream chunk and emit completed USB frames."""
         bitstream = np.asarray(bitstream)
-        result = self.filter.process(bitstream)
-        codes = result.codes
-        self.samples_in += bitstream.size
+        return self.frame_words(
+            self.filter.process(bitstream).codes, bitstream.size
+        )
+
+    def frame_words(self, codes: np.ndarray, samples_in: int) -> bytes:
+        """Everything after the decimation filter: book, condition, frame.
+
+        ``codes`` are the words the cascade emitted for a chunk of
+        ``samples_in`` modulator samples — from :attr:`filter`, or from
+        a compiled kernel that ran the same cascade. Returns the USB
+        frames they complete (see :meth:`condition_words`).
+        """
+        codes = self.condition_words(codes, samples_in)
+        if codes.size == 0:
+            return b""
+        return self.encoder.push(codes, self._element)
+
+    def condition_words(self, codes: np.ndarray, samples_in: int) -> np.ndarray:
+        """Book a chunk's filtered words and return the ones to deliver.
+
+        Counts ``samples_in`` and the words, drops the words still inside
+        the post-switch suppression window, passes the rest through
+        :attr:`word_hook` and clamps them to the i16 sample range
+        ([-32768, 32767], two's-complement asymmetric) instead of the
+        silent wraparound a bare ``astype(np.int16)`` would perform — the
+        encoder then validates the range rather than mangling it.
+        """
+        self.samples_in += samples_in
         self.words_filtered += codes.size
         if self._suppress > 0:
             drop = min(self._suppress, codes.size)
@@ -93,14 +118,10 @@ class FPGAFilterBank:
             self._suppress -= drop
             self.words_suppressed += drop
         if codes.size == 0:
-            return b""
+            return codes
         if self.word_hook is not None:
             codes = np.asarray(self.word_hook(codes))
-        # Clamp to the i16 sample range ([-32768, 32767], two's-complement
-        # asymmetric) instead of the silent wraparound a bare
-        # ``astype(np.int16)`` would perform on out-of-range words; the
-        # encoder then validates the range rather than mangling it.
-        return self.encoder.push(saturate(codes, 16), self._element)
+        return saturate(codes, 16)
 
     def flush(self) -> bytes:
         """Flush the partial USB frame at end of acquisition.

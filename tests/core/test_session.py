@@ -188,6 +188,21 @@ class TestTelemetryValidation:
     def test_throughput_zero_without_time(self):
         assert PipelineTelemetry().throughput_msps() == 0.0
 
+    def test_reconcile_catches_more_fused_than_fed_chunks(self):
+        with pytest.raises(ConfigurationError):
+            PipelineTelemetry(chunks=2, fused_chunks=3).reconcile()
+        PipelineTelemetry(chunks=3, fused_chunks=3).reconcile()
+
+    def test_fused_chunks_aggregate_and_describe(self):
+        total = PipelineTelemetry.aggregate(
+            [
+                PipelineTelemetry(chunks=4, fused_chunks=4),
+                PipelineTelemetry(chunks=3, fused_chunks=1),
+            ]
+        )
+        assert (total.chunks, total.fused_chunks) == (7, 5)
+        assert "7 (5 compiled" in total.describe()
+
 
 class TestDegenerateChunking:
     """Zero-length and single-sample chunks through the session."""
