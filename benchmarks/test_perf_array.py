@@ -6,7 +6,10 @@ Writes ``BENCH_array.json`` at the repo root. Two gates:
   be bit-identical, element for element, to the sequential reference
   (snapshot-restore single sessions on a noiseless chain), and at least
   10x faster in elements/s. A scan that is fast but not bit-identical
-  is wrong, not fast.
+  is wrong, not fast. The timed sequential sessions take the default
+  single-session path (the one-lane compiled kernel); the identity
+  oracle repeats them untimed on the per-stage NumPy path, so it never
+  shares the compiled chain kernel under test.
 * ``test_array_frame_rates`` — host-side wall frame rate at 8x8, 16x16
   and 64x64, with a floor on the 8x8 figure, plus the *device-time*
   :class:`~repro.array.mux.ScanSchedule` timetable (shared converter vs
@@ -23,6 +26,7 @@ from conftest import print_rows
 
 from repro.array.scan import ScanController
 from repro.batch import batch_kernel_available
+from repro.batch import kernel as batch_kernel
 from repro.core.chain import ReadoutChain
 from repro.params import ArrayParams, NonidealityParams, SystemParams
 
@@ -81,7 +85,33 @@ def run_fused_scan_timed(rows: int, cols: int, segments: np.ndarray):
     return records, wall, controller.last_scan_fused
 
 
-def test_array_scan_identity_and_speedup():
+def sequential_scan(rows: int, cols: int, segments: np.ndarray):
+    """One single-lane session per element; returns (records, wall_s).
+
+    Each session is restored to the pre-scan modulator state (the
+    matched-bank semantics the batched/fused scan implements). The zero
+    field is reused across elements to keep the reference
+    allocation-light.
+    """
+    n_el, dwell = segments.shape
+    chain = make_chain(rows, cols)
+    saved = chain.chip.state_snapshot()
+    field = np.zeros((dwell, n_el))
+    columns = []
+    start = time.perf_counter()
+    for k in range(n_el):
+        chain.chip.restore_state(saved)
+        session = chain.session(element=k)
+        field[:, k] = segments[k]
+        session.feed_pressure(field)
+        field[:, k] = 0.0
+        columns.append(session.recording().values)
+    wall = time.perf_counter() - start
+    n = min(c.size for c in columns)
+    return np.column_stack([c[:n] for c in columns]), wall
+
+
+def test_array_scan_identity_and_speedup(monkeypatch):
     """64x64 fused scan == sequential reference, and >= 10x faster."""
     rows, cols = IDENTITY_SIZE
     n_el = rows * cols
@@ -95,27 +125,18 @@ def test_array_scan_identity_and_speedup():
         rows, cols, segments
     )
 
-    # Sequential reference: one single-lane session per element, each
-    # restored to the pre-scan modulator state (the matched-bank
-    # semantics the batched/fused scan implements). The zero field is
-    # reused across elements to keep the reference allocation-light.
-    chain = make_chain(rows, cols)
-    saved = chain.chip.state_snapshot()
-    field = np.zeros((dwell, n_el))
-    columns = []
-    seq_start = time.perf_counter()
-    for k in range(n_el):
-        chain.chip.restore_state(saved)
-        session = chain.session(element=k)
-        field[:, k] = segments[k]
-        session.feed_pressure(field)
-        field[:, k] = 0.0
-        columns.append(session.recording().values)
-    seq_wall = time.perf_counter() - seq_start
-    n = min(c.size for c in columns)
-    reference = np.column_stack([c[:n] for c in columns])
+    reference, seq_wall = sequential_scan(rows, cols, segments)
+    # Untimed identity oracle: the same sessions on the per-stage path
+    # (as without a C compiler for the batch kernel).
+    with monkeypatch.context() as patch:
+        patch.setattr(batch_kernel, "batch_kernel_available", lambda: False)
+        oracle, _ = sequential_scan(rows, cols, segments)
+    n = oracle.shape[0]
 
-    identical = bool(np.array_equal(fused[:n], reference))
+    identical = bool(
+        np.array_equal(fused[:n], oracle)
+        and np.array_equal(reference, oracle)
+    )
     fused_rate = n_el / fused_wall
     seq_rate = n_el / seq_wall
     speedup = fused_rate / seq_rate

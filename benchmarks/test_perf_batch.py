@@ -5,7 +5,9 @@ Writes ``BENCH_batch.json`` at the repo root. Two gates:
 * ``test_batch_bit_identity`` — for batch sizes {1, 8, 128}, the
   batched session's codes and telemetry counters must equal ``B``
   independent single :class:`~repro.core.session.AcquisitionSession`
-  runs sample for sample, across uneven chunk splits. This is the CI
+  runs sample for sample, across uneven chunk splits. The single
+  sessions run the ``"reference"`` modulator backend, so the oracle never
+  shares the compiled chain kernel under test. This is the CI
   failure condition: a batched pipeline that is fast but not
   bit-identical is wrong, not fast.
 * ``test_batch_throughput`` — one core streams 128 concurrent 1 kS/s
@@ -64,9 +66,11 @@ def stream_baseline_msps() -> float:
     return STREAM_BASELINE_MSPS
 
 
-def make_chain(seed: int) -> ReadoutChain:
+def make_chain(seed: int, backend: str = "fast") -> ReadoutChain:
     params = SystemParams().replace(nonideality=NonidealityParams.ideal())
-    return ReadoutChain(params, rng=np.random.default_rng(seed))
+    return ReadoutChain(
+        params, rng=np.random.default_rng(seed), backend=backend
+    )
 
 
 def pressure_field(n: int, n_elements: int) -> np.ndarray:
@@ -79,7 +83,7 @@ def pressure_field(n: int, n_elements: int) -> np.ndarray:
 
 
 def _single_codes(seed: int, field: np.ndarray, splits: tuple) -> tuple:
-    chain = make_chain(seed)
+    chain = make_chain(seed, backend="reference")
     session = AcquisitionSession(chain, element=1)
     off = 0
     for n in splits:

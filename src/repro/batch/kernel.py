@@ -668,7 +668,7 @@ def run_batch_chunk(
     if kernel is None:  # pragma: no cover - engine guards this
         raise RuntimeError("batched kernel unavailable; use the engine fallback")
     B = int(dac_gain.size)
-    chain_fn = kernel[0][1 if B == 1 else LANE_BLOCK]
+    chain_fn = kernel[0][min(B, LANE_BLOCK)]
     taps = int(fir_flipped.size)
     R = int(cic_decimation)
     M = int(fir_decimation)

@@ -181,6 +181,7 @@ class BatchAcquisitionSession:
             # Compiled front end: a1*u (deterministic lanes) or raw u
             # staged directly into the kernel buffers — no (n, B) copies.
             result = self.engine.feed_pressures(lane_inputs, n)
+        front_compiled = result is not None
         if result is None:
             # Front end per lane: route, convert to loop input, honor
             # hooks.
@@ -197,7 +198,11 @@ class BatchAcquisitionSession:
                 u[:, l] = ul
             result = self.engine.feed_loop_inputs(u)
         codes, clipped = result
-        fused = int(self.engine.uses_kernel)
+        # A lane's chunk counts as compiled on the single session's
+        # rule: the whole front end → FIR ran on the kernel. A voltage
+        # front end is NumPy on both paths; a loop-input hook keeps the
+        # single session on its per-stage path.
+        voltage_on_kernel = kind == "voltage" and self.engine.uses_kernel
         t1 = time.perf_counter()
         mod_dt = (t1 - t0) / B
 
@@ -205,7 +210,9 @@ class BatchAcquisitionSession:
         for l, c in enumerate(self.chains):
             tm = self.telemetries[l]
             tm.chunks += 1
-            tm.fused_chunks += fused
+            tm.fused_chunks += front_compiled or (
+                voltage_on_kernel and c.chip.loop_input_hook is None
+            )
             tm.peak_chunk_bytes = max(
                 tm.peak_chunk_bytes, lane_inputs[l].nbytes
             )

@@ -2,7 +2,9 @@
 
 Hypothesis drives the batch size, the (uneven) chunk split, and the
 per-lane stimulus; every draw must reproduce the single-session codes
-and reconcile per-lane telemetry exactly.
+and reconcile per-lane telemetry exactly. The single sessions run the
+``"reference"`` modulator backend, so the oracle never shares the
+compiled chain kernel under test.
 """
 
 import numpy as np
@@ -15,9 +17,11 @@ from repro.core.session import AcquisitionSession
 from repro.params import NonidealityParams, SystemParams
 
 
-def make_chain(seed: int) -> ReadoutChain:
+def make_chain(seed: int, backend: str = "fast") -> ReadoutChain:
     params = SystemParams().replace(nonideality=NonidealityParams.ideal())
-    return ReadoutChain(params, rng=np.random.default_rng(seed))
+    return ReadoutChain(
+        params, rng=np.random.default_rng(seed), backend=backend
+    )
 
 
 def lane_voltage(n: int, lane: int) -> np.ndarray:
@@ -52,7 +56,7 @@ class TestBatchedEqualsSingles:
         sess.finish()
 
         for l in range(lanes):
-            ref = AcquisitionSession(make_chain(l))
+            ref = AcquisitionSession(make_chain(l, backend="reference"))
             ref.feed_voltage(u[:, l])
             ref.finish()
             assert np.array_equal(sess.codes(l), ref.recording().codes)

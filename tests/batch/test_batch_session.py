@@ -4,6 +4,8 @@ The contract under test: a :class:`~repro.batch.BatchAcquisitionSession`
 over ``B`` chains produces, per lane, exactly the codes and telemetry a
 single :class:`~repro.core.session.AcquisitionSession` produces for the
 same input — for any batch size, any chunk split, kernel or fallback.
+The single-session oracles run the ``"reference"`` modulator backend, so
+they never share the compiled chain kernel under test.
 """
 
 import numpy as np
@@ -27,11 +29,15 @@ TELEMETRY_COUNTERS = (
 )
 
 
-def make_chain(seed: int, ideal: bool = True) -> ReadoutChain:
+def make_chain(
+    seed: int, ideal: bool = True, backend: str = "fast"
+) -> ReadoutChain:
     params = SystemParams()
     if ideal:
         params = params.replace(nonideality=NonidealityParams.ideal())
-    return ReadoutChain(params, rng=np.random.default_rng(seed))
+    return ReadoutChain(
+        params, rng=np.random.default_rng(seed), backend=backend
+    )
 
 
 def pressure_field(n: int, n_elements: int, seed: int = 0) -> np.ndarray:
@@ -41,7 +47,8 @@ def pressure_field(n: int, n_elements: int, seed: int = 0) -> np.ndarray:
 
 
 def run_single(seed, field, splits, ideal=True, word_hook=None):
-    chain = make_chain(seed, ideal=ideal)
+    """The reference-loop single session a batch lane must reproduce."""
+    chain = make_chain(seed, ideal=ideal, backend="reference")
     session = AcquisitionSession(chain, element=1)
     if word_hook is not None:
         chain.fpga.word_hook = word_hook
@@ -107,7 +114,7 @@ class TestBitIdentity:
         sess.feed_voltage(u[640:])
         sess.finish()
         for l in range(B):
-            chain = make_chain(20 + l)
+            chain = make_chain(20 + l, backend="reference")
             ref = AcquisitionSession(chain)
             ref.feed_voltage(u[:, l])
             ref.finish()

@@ -6,7 +6,9 @@ boundary) or an existing one drops (detach at any chunk boundary). The
 contract is the same bit-identity the static batch guarantees — every
 lane's codes match a solo :class:`~repro.core.session.AcquisitionSession`
 fed the same samples over the lane's membership window, and a detached
-chain resumes solo processing (or rejoins) bit-exactly.
+chain resumes solo processing (or rejoins) bit-exactly. The solo
+oracles run the ``"reference"`` modulator backend, so they never share
+the compiled chain kernel under test.
 """
 
 import numpy as np
@@ -19,9 +21,11 @@ from repro.errors import ConfigurationError
 from repro.params import NonidealityParams, SystemParams
 
 
-def make_chain(seed: int) -> ReadoutChain:
+def make_chain(seed: int, backend: str = "fast") -> ReadoutChain:
     params = SystemParams().replace(nonideality=NonidealityParams.ideal())
-    return ReadoutChain(params, rng=np.random.default_rng(seed))
+    return ReadoutChain(
+        params, rng=np.random.default_rng(seed), backend=backend
+    )
 
 
 def lane_voltage(n: int, lane: int, offset: int = 0) -> np.ndarray:
@@ -30,7 +34,7 @@ def lane_voltage(n: int, lane: int, offset: int = 0) -> np.ndarray:
 
 
 def solo_codes(lane: int, u: np.ndarray) -> np.ndarray:
-    ref = AcquisitionSession(make_chain(lane))
+    ref = AcquisitionSession(make_chain(lane, backend="reference"))
     ref.feed_voltage(u)
     ref.finish()
     return ref.recording().codes
@@ -138,7 +142,7 @@ class TestDetach:
         assert np.array_equal(sess.codes(0), solo_codes(0, full0))
         # The rejoined lane's second stint continues its own cascade
         # state, so compare against one solo run over both stints.
-        ref = AcquisitionSession(make_chain(1))
+        ref = AcquisitionSession(make_chain(1, backend="reference"))
         ref.feed_voltage(lane_voltage(n, 1))
         ref.feed_voltage(lane_voltage(n, 1, n))
         ref.finish()

@@ -275,3 +275,34 @@ class TestOneLaneBatch:
         assert tm.fused_chunks == single[1].fused_chunks
         for name in COUNTERS:
             assert getattr(tm, name) == getattr(single[1], name), name
+
+    @pytest.mark.parametrize("kind", ["pressure", "voltage"])
+    def test_hooked_lane_books_like_single_session(self, kind):
+        """A loop-input hook keeps both session kinds off the compiled
+        front end, so both book no compiled chunk and the same bits."""
+        if kind == "pressure":
+            stimulus, element = pressure_field(), 1
+        else:
+            t = np.arange(N) / 128e3
+            stimulus = 0.5 * 2.5 * np.sin(2 * np.pi * 15.625 * t)
+            element = None
+        chunks = cuts_to_chunks(stimulus, [R + 1, 7000])
+
+        def hooked():
+            chain = make_chain("fast", ideal=True)
+            chain.chip.loop_input_hook = lambda u: u * 0.5
+            return chain
+
+        single = record(hooked(), chunks, element=element, kind=kind)
+        batch = BatchAcquisitionSession([hooked()], element=element)
+        for chunk in chunks:
+            if kind == "pressure":
+                batch.feed_pressure([chunk])
+            else:
+                batch.feed_voltage(chunk[:, None])
+        tm = batch.telemetries[0]
+        tm.reconcile()
+        assert np.array_equal(batch.recording(0).codes, single[0].codes)
+        assert single[1].fused_chunks == 0
+        assert tm.fused_chunks == 0
+        assert tm.chunks == single[1].chunks == len(chunks)
