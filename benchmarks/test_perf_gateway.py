@@ -226,8 +226,7 @@ async def _run_soak():
             assert session.queue.qsize() == 0
             assert session._demux.buffered == 0
             session.reconcile()
-            if server.plane is not None:
-                server.plane.detach(session)
+            server.plane.detach(session)
         del clients, reports, session
         gc.collect()
         current, _ = tracemalloc.get_traced_memory()
@@ -235,7 +234,7 @@ async def _run_soak():
     wall = time.perf_counter() - t0
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    plane_ticks = server.plane.ticks if server.plane is not None else 0
+    plane_ticks = server.plane.ticks
     await server.stop()
     return {
         "devices": SOAK_DEVICES,
@@ -290,7 +289,6 @@ def test_perf_gateway():
         "samples_per_frame": SAMPLES_PER_FRAME,
         "faulty_devices": sum(1 for d in range(N_DEVICES) if d % 2 == 0),
         "faults_injected": faults,
-        "decode_plane": "batch",
         "coalesce_payloads": COALESCE_PAYLOADS,
         "wall_seconds": wall,
         "sessions_per_second": sessions_per_s,
@@ -308,9 +306,7 @@ def test_perf_gateway():
             "max": float(lat_ms[-1]),
             "samples": int(lat_ms.size),
         },
-        "batch_plane": (
-            server.plane.metrics() if server.plane is not None else None
-        ),
+        "batch_plane": server.plane.metrics(),
         "soak": soak,
         "reconciled": True,
     }

@@ -53,6 +53,12 @@ def _kernel():
     return batch_kernel
 
 
+def _engine():
+    from ..batch import engine  # lazily, as in _kernel()
+
+    return engine
+
+
 @dataclass(frozen=True)
 class RowSource:
     """Scan pressure rows on demand.
@@ -89,21 +95,23 @@ def block_lanes(n_elements: int, dwell: int) -> int:
 def fused_scan_supported(chain) -> bool:
     """Whether :func:`run_fused_scan` can reproduce this chain's scan.
 
-    The envelope is the batch kernel's: compiled kernel present, a fully
-    deterministic modulator (no jitter, thermal/flicker noise, or DAC
-    reference noise — the kernel cannot replay the per-segment draw order
-    of :meth:`~repro.sdm.modulator.SecondOrderSDM.simulate_batch`), no
-    in-loop metastability draws, the stock third-order/unit-delay CIC,
-    and no word hook (the hook must see each element's words in
-    sequential order). When the FPGA still points at element 0 the scan's
-    first visit does not reset the filter, so any carried filter state
-    must sit at a decimation boundary (phase 0) for the lanes to run in
+    The envelope is the batch kernel's: compiled kernel present and no
+    :func:`~repro.batch.engine.kernel_declines` decline. On top of that
+    the scan needs a fully deterministic modulator (no jitter,
+    thermal/flicker noise, or DAC reference noise — the scan cannot
+    replay the per-segment draw order of
+    :meth:`~repro.sdm.modulator.SecondOrderSDM.simulate_batch`) and no
+    word hook (the hook must see each element's words in sequential
+    order). When the FPGA still points at element 0 the scan's first
+    visit does not reset the filter, so any carried filter state must
+    sit at a decimation boundary (phase 0) for the lanes to run in
     lockstep.
     """
     if not _kernel().batch_kernel_available():
         return False
+    if _engine().kernel_declines(chain):
+        return False
     m = chain.chip.modulator
-    comp = m.comparator
     filt = chain.fpga.filter
     deterministic = not (
         m.nonideality.clock_jitter_s > 0.0
@@ -112,12 +120,6 @@ def fused_scan_supported(chain) -> bool:
         or m.dac.reference_noise_sigma > 0.0
     )
     if not deterministic:
-        return False
-    if comp.metastable_band_v != 0.0:
-        return False
-    if 1.0 + m.dac.reference_error == 0.0:
-        return False
-    if filt.cic.order != 3 or filt.cic.diff_delay != 1:
         return False
     if chain.fpga.word_hook is not None:
         return False
@@ -302,12 +304,7 @@ def run_fused_scan(chain, dwell_pressures_pa) -> list[np.ndarray] | None:
     comp = m.comparator
     ideal = comp.is_ideal()
     zero = np.zeros(n)
-    qscale = (1 << (filt.params.output_bits - 1)) / (
-        float(filt.cic.dc_gain) / filt.fir.coeff_format.scale
-    )
-    fir_flipped = np.ascontiguousarray(
-        filt.fir.coefficients_int[::-1], dtype=np.int64
-    )
+    qscale, fir_flipped = _engine().requantizer(filt)
 
     def run_block(k0: int, k1: int):
         rows = source(k0, k1)

@@ -10,8 +10,11 @@ back afterwards, so the chains remain the single source of truth:
 * any chunk split produces bit-identical output,
 * a lane can be handed back to single-session processing at any chunk
   boundary and resumes bit-exactly,
-* the pure-Python fallback (no C compiler) and the kernel are
-  interchangeable mid-stream.
+* the per-lane fallback (no C compiler, or a chain the kernel declines)
+  and the kernel are interchangeable mid-stream.
+
+:func:`kernel_declines` is the compiled chain's one decline policy; the
+fused scan (:mod:`repro.array.fusedscan`) consults it too.
 
 Stochastic terms are drawn per lane through each modulator's own
 :meth:`~repro.sdm.modulator.SecondOrderSDM._prepare_inputs`, preserving
@@ -47,6 +50,41 @@ from . import kernel as batch_kernel
 from .kernel import BatchState
 
 
+def kernel_declines(chain) -> bool:
+    """True when the fused chain kernel cannot replay ``chain`` exactly.
+
+    * A metastable comparator draws randomness inside the loop, which
+      only the reference loop replays.
+    * A zero DAC gain with no DAC noise: the kernel's unified comparator
+      form would see -0.0 where the reference sees +0.0.
+    * Any CIC but the stock third-order, unit-delay cascade.
+    """
+    m = chain.chip.modulator
+    cic = chain.fpga.filter.cic
+    return (
+        m.comparator.metastable_band_v != 0.0
+        or (
+            1.0 + m.dac.reference_error == 0.0
+            and m.dac.reference_noise_sigma == 0.0
+        )
+        or cic.order != 3
+        or cic.diff_delay != 1
+    )
+
+
+def requantizer(filt) -> tuple[float, np.ndarray]:
+    """``(qscale, fir_flipped)`` the kernel takes for decimation filter
+    ``filt``: the FIR output's scale to ``output_bits`` codes, and the
+    integer taps in time-reversed order."""
+    qscale = (1 << (filt.params.output_bits - 1)) / (
+        float(filt.cic.dc_gain) / filt.fir.coeff_format.scale
+    )
+    flipped = np.ascontiguousarray(
+        filt.fir.coefficients_int[::-1], dtype=np.int64
+    )
+    return qscale, flipped
+
+
 class BatchChainEngine:
     """Lockstep executor for ``B`` chains' modulator+decimation cascades.
 
@@ -58,13 +96,9 @@ class BatchChainEngine:
         order/decimation/differential delay, FIR taps/decimation and
         quantized coefficients, output width); per-lane analog
         parameters (mismatch, noise, comparator imperfections) are free.
-    force_python:
-        Pin the per-lane fallback path (used by the equivalence tests to
-        prove both engines agree bit-for-bit).
     """
 
-    def __init__(self, chains, force_python: bool = False):
-        self._force_python = bool(force_python)
+    def __init__(self, chains):
         self._configure(list(chains))
 
     def _configure(self, chains) -> None:
@@ -125,7 +159,6 @@ class BatchChainEngine:
         self._det = np.zeros(B, dtype=bool)  # fully deterministic lanes
         self._has_noise = np.zeros(B, dtype=bool)
         self._has_dacn = np.zeros(B, dtype=bool)
-        kernel_ok = True
         for l, c in enumerate(chains):
             m = c.chip.modulator
             s1, s2 = m.stage1, m.stage2
@@ -151,22 +184,8 @@ class BatchChainEngine:
                 or self._has_noise[l]
                 or self._has_dacn[l]
             )
-            if comp.metastable_band_v != 0.0:
-                # In-loop random draws: reference loop only.
-                kernel_ok = False
-            if self._dac_gain[l] == 0.0 and m.dac.reference_noise_sigma == 0.0:
-                # Degenerate zero DAC gain: the unified comparator form
-                # would see -0.0 where the reference sees +0.0.
-                kernel_ok = False
-        if ref.cic.order != 3 or ref.cic.diff_delay != 1:
-            kernel_ok = False
-        self._kernel_ok = kernel_ok
-        self._qscale = (1 << (ref.params.output_bits - 1)) / (
-            float(ref.cic.dc_gain) / ref.fir.coeff_format.scale
-        )
-        self._flip = np.ascontiguousarray(
-            ref.fir.coefficients_int[::-1], dtype=np.int64
-        )
+        self._kernel_ok = not any(kernel_declines(c) for c in chains)
+        self._qscale, self._flip = requantizer(ref)
 
         # Lane-major staging buffers, grown on demand and reused across
         # chunks. Rows that are never written (inert padding, lanes
@@ -191,11 +210,7 @@ class BatchChainEngine:
     @property
     def uses_kernel(self) -> bool:
         """True when chunks run through the fused compiled kernel."""
-        return (
-            self._kernel_ok
-            and not self._force_python
-            and batch_kernel.batch_kernel_available()
-        )
+        return self._kernel_ok and batch_kernel.batch_kernel_available()
 
     @property
     def deterministic_lanes(self) -> np.ndarray:
@@ -585,9 +600,9 @@ class BatchChainEngine:
     def _feed_fallback(self, u: np.ndarray):
         """Per-lane processing through the existing single-session stages.
 
-        Exact by construction: each lane runs the same
-        :mod:`repro.sdm.fastpath` recurrence and
-        :class:`~repro.dsp.decimator.DecimationFilter` the single
+        Exact by construction: each lane runs the same modulator
+        dispatch (:meth:`~repro.sdm.modulator.SecondOrderSDM._run_prepared`)
+        and :class:`~repro.dsp.decimator.DecimationFilter` the single
         session would, against the same chain state.
         """
         n, B = u.shape
@@ -596,10 +611,7 @@ class BatchChainEngine:
         for l, c in enumerate(self.chains):
             m = c.chip.modulator
             ul, nl, dl, dg = m._prepare_inputs(u[:, l])
-            if m.comparator.metastable_band_v != 0.0:
-                out = m._simulate_reference(ul, nl, dl, dg, False, "ignore")
-            else:
-                out = m._simulate_fast(ul, nl, dl, dg, False, "ignore")
+            out = m._run_prepared(ul, nl, dl, dg, False, "ignore")
             clipped[l] = out.clipped_samples
             lane_codes.append(c.fpga.filter.process(out.bitstream).codes)
         widths = {codes.size for codes in lane_codes}

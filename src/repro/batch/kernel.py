@@ -51,7 +51,8 @@ All decimation phases are scalar and shared: the engine requires every
 lane to be fed the same number of samples per call (lanes run in
 lockstep), which is exactly the batched-acquisition contract.
 
-When no C compiler is available, the engine falls back to per-lane NumPy
+When no C compiler is available (the build goes through
+:class:`repro.native.NativeKernel`), the engine falls back to per-lane
 processing through the existing single-session stages — slower, but
 producing the same bits, so results never depend on the toolchain.
 """
@@ -59,13 +60,11 @@ producing the same bits, so results never depend on the toolchain.
 from __future__ import annotations
 
 import ctypes
-import os
-import shutil
-import subprocess
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..native import NativeKernel
 
 # Lanes per register block in the chain kernel; the engine pads a
 # multi-lane batch up to a multiple of this with inert lanes.
@@ -463,54 +462,13 @@ _CFLAGS = [
     "-shared",
 ]
 
-# Module-level kernel cache: None = not tried yet, False = unavailable,
-# otherwise a ({width: chain_fn}, frontend_fn) pair of loaded ctypes
-# functions.
-_kernel: object = None
-
 _DBL_P = ctypes.POINTER(ctypes.c_double)
 _LL_P = ctypes.POINTER(ctypes.c_longlong)
 _ULL_P = ctypes.POINTER(ctypes.c_uint64)
 
 
-def _try_compile_kernel():
-    """Compile and load the batched C kernels; return the pair or None.
-
-    Mirrors :func:`repro.sdm.fastpath._try_compile_kernel`: the shared
-    object is built in a private temporary directory that is removed
-    once the object is loaded (or the build fails), and any failure
-    degrades silently to the Python fallback.
-    """
-    compilers = [os.environ.get("REPRO_CC"), "cc", "gcc", "clang"]
-    build_dir = tempfile.mkdtemp(prefix="repro-batch-kernel-")
-    src = os.path.join(build_dir, "batch_kernel.c")
-    lib_path = os.path.join(build_dir, "batch_kernel.so")
-    try:
-        with open(src, "w") as fh:
-            fh.write(_BATCH_KERNEL_C_SOURCE)
-        for cc in compilers:
-            if not cc:
-                continue
-            try:
-                result = subprocess.run(
-                    [cc, *_CFLAGS, "-o", lib_path, src, "-lm"],
-                    capture_output=True,
-                    timeout=60,
-                )
-            except (OSError, subprocess.SubprocessError):
-                continue
-            if result.returncode == 0 and os.path.exists(lib_path):
-                break
-        else:
-            return None
-        lib = ctypes.CDLL(lib_path)
-    except OSError:
-        return None
-    finally:
-        # A loaded object stays mapped once its file is gone, so the
-        # build directory never outlives this call.
-        shutil.rmtree(build_dir, ignore_errors=True)
-
+def _bind(lib: ctypes.CDLL):
+    """The loaded ``({width: chain_fn}, frontend_fn)`` pair."""
     chain_argtypes = [
         ctypes.c_longlong,  # n
         ctypes.c_longlong,  # B
@@ -575,16 +533,14 @@ def _try_compile_kernel():
     return (chains, front)
 
 
-def _get_kernel():
-    global _kernel
-    if _kernel is None:
-        _kernel = _try_compile_kernel() or False
-    return _kernel or None
+_KERNEL = NativeKernel(
+    "batch", _BATCH_KERNEL_C_SOURCE, _CFLAGS, _bind, libs=("-lm",)
+)
 
 
 def batch_kernel_available() -> bool:
     """True when the fused batched C kernels could be built and loaded."""
-    return _get_kernel() is not None
+    return _KERNEL.available()
 
 
 def pad_lanes(B: int) -> int:
@@ -664,7 +620,7 @@ def run_batch_chunk(
     Python fallback at this layer (the engine falls back through the
     existing single-session stages instead).
     """
-    kernel = _get_kernel()
+    kernel = _KERNEL.get()
     if kernel is None:  # pragma: no cover - engine guards this
         raise RuntimeError("batched kernel unavailable; use the engine fallback")
     B = int(dac_gain.size)
@@ -782,7 +738,7 @@ def run_frontend_chunk(
     chunk through the per-lane NumPy front end, which raises the exact
     error the single-session path raises.
     """
-    kernel = _get_kernel()
+    kernel = _KERNEL.get()
     if kernel is None:  # pragma: no cover - engine guards this
         raise RuntimeError("batched kernel unavailable; use the engine fallback")
     front_fn = kernel[1]

@@ -56,8 +56,6 @@ class BatchAcquisitionSession:
         Detector thresholds for the recordings' quality masks.
     faults:
         Unsupported in batched mode; must be ``None``.
-    force_python:
-        Pin the per-lane fallback engine (equivalence tests).
     """
 
     def __init__(
@@ -66,14 +64,13 @@ class BatchAcquisitionSession:
         element: int | None = None,
         quality: QualityConfig | None = None,
         faults=None,
-        force_python: bool = False,
     ):
         if faults is not None:
             raise ConfigurationError(
                 "fault injection is not supported in batched mode; run "
                 "faulted acquisitions through AcquisitionSession"
             )
-        self.engine = BatchChainEngine(chains, force_python=force_python)
+        self.engine = BatchChainEngine(chains)
         self.chains = self.engine.chains
         if element is not None:
             for c in self.chains:

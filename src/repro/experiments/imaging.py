@@ -290,7 +290,7 @@ def run_imaging(
         pp_pa=5000.0,
         pulse_rate_hz=pulse_rate_hz,
     )
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    with ThreadPoolExecutor(1) as helper:
         prefetched = _PrefetchedRows(coupling, dwell_mod, stimulus, helper)
         records = controller.scan_records(
             chain,

@@ -1,10 +1,9 @@
 """The gateway's shared decode plane: fleet-wide micro-batched decoding.
 
-Per-session worker tasks (one ``await queue.get()`` loop per device)
-decode each chunk alone, so every chunk pays the full Python frame-parse
-cost and the event loop pays one task wakeup per chunk. The
-:class:`BatchPlane` replaces all of them with **one** scheduler task
-that runs a tick loop:
+Decoding each device's chunks alone would make every chunk pay the full
+Python frame-parse cost and the event loop one task wakeup per chunk.
+The :class:`BatchPlane` instead runs **one** scheduler task for the
+whole gateway, a tick loop:
 
 1. **Drain fleet-wide** — every armed session's queued chunks are taken
    at once and merged (exact: the frame decoder is chunk-boundary
@@ -30,8 +29,10 @@ Flush policy — the latency/throughput dial:
 
 The plane keeps per-tick telemetry (occupancy, flush causes, tick rate)
 for the metrics endpoint and asserts nothing about session semantics:
-sessions behave bit-identically to worker-mode decoding, which the
-property tests in ``tests/properties`` enforce.
+every session decodes bit-identically to feeding its chunks one by one
+through :meth:`~repro.daq.usb.FrameDecoder.feed` and
+:meth:`~repro.daq.stream.SampleStream.ingest`, the reference the
+property tests in ``tests/properties`` hold it to.
 """
 
 from __future__ import annotations
@@ -106,9 +107,7 @@ class BatchPlane:
         """Drop a lane; its *queued-but-undecoded* bytes are discarded.
 
         Only called when the session's books are already closed (fresh
-        HELLO replacing a restarted device, or finalize on DEAD) — the
-        same point where worker mode cancels the old worker task, so the
-        discard semantics match exactly.
+        HELLO replacing a restarted device, or a retired session).
         """
         if self.lanes.get(session.device_id) is session:
             del self.lanes[session.device_id]

@@ -201,7 +201,6 @@ async def run_chaos(
     seed: int = 0,
     queue_chunks: int = 64,
     heartbeat_s: float = 0.05,
-    decode_plane: str = "batch",
 ) -> ChaosReport:
     """Run the fleet, then audit every connection. Returns the report.
 
@@ -209,16 +208,12 @@ async def run_chaos(
     fault schedules seeded from ``seed + device_id``; every
     ``reconnect_every``-th payload each device hard-drops its TCP
     connection and resumes, exercising the watchdog + replay path under
-    load. ``decode_plane`` selects the gateway's decode scheduling
-    (``"batch"`` or ``"worker"``) — the audit's assertions are
-    plane-independent, which is itself part of the bit-identity gate.
+    load.
     """
     report = ChaosReport(devices=n_devices)
     baseline_tasks = asyncio.all_tasks()
 
-    server = GatewayServer(
-        queue_chunks=queue_chunks, decode_plane=decode_plane
-    )
+    server = GatewayServer(queue_chunks=queue_chunks)
     host, port = await server.start()
     # Interleave sick and healthy devices across the id space so the
     # isolation check never reduces to "faults ran first/last".

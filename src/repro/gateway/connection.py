@@ -14,11 +14,18 @@ one:
   O(bytes) splitting of control messages (handled immediately: a
   heartbeat must never queue behind data) from data bytes;
 * data bytes go through a **bounded** queue (:meth:`offer`) to the
-  session's worker, which runs :meth:`decode`. When the queue is full
-  the chunk is **shed, counted, never silently**: ``chunks_shed`` /
-  ``bytes_shed`` record the drop, and the sequence numbers of the
-  frames inside the shed bytes surface downstream as explicit
-  ``lost_frames`` gaps the moment the next surviving frame arrives.
+  gateway's :class:`~repro.gateway.batchplane.BatchPlane`, which drains
+  it in ticks through :meth:`stage_pending` and :meth:`commit_staged`.
+  When the queue is full the chunk is **shed, counted, never
+  silently**: ``chunks_shed`` / ``bytes_shed`` record the drop, and the
+  sequence numbers of the frames inside the shed bytes surface
+  downstream as explicit ``lost_frames`` gaps the moment the next
+  surviving frame arrives.
+
+Decoding a merged tick is exactly what feeding the same chunks through
+the session's :class:`~repro.daq.usb.FrameDecoder` and
+:class:`~repro.daq.stream.SampleStream` one by one would do; that
+reference is what the property tests hold the plane to.
 
 Telemetry is the session's :class:`~repro.core.session.PipelineTelemetry`
 restricted to the host-side stages; ``frames_framed`` arrives with the
@@ -84,13 +91,13 @@ class DeviceSession:
         )
         self.watchdog = watchdog or Watchdog()
         self.telemetry = PipelineTelemetry()
-        self.queue: asyncio.Queue[bytes | None] = asyncio.Queue(
+        self.queue: asyncio.Queue[bytes] = asyncio.Queue(
             maxsize=queue_chunks
         )
         #: Set whenever the ingest queue is empty — the event-driven
         #: drain signal (replaces the server's old polling sleep loop).
-        #: Cleared by :meth:`offer`, set by whichever consumer (worker
-        #: or batch plane) empties the queue.
+        #: Cleared by :meth:`offer`, set by the batch plane when it
+        #: empties the queue.
         self.queue_empty = asyncio.Event()
         self.queue_empty.set()
         #: Optional per-frame hook ``(sequence, t_decoded_s)`` — the
@@ -138,14 +145,21 @@ class DeviceSession:
 
     # -- reader side ---------------------------------------------------------
 
-    def demux(self, data: bytes) -> tuple[bytes, list[ControlEvent]]:
-        """Split one socket read; any traffic beats the watchdog."""
+    def demux(self, data: bytes | None) -> tuple[bytes, list[ControlEvent]]:
+        """Split one socket read; any traffic beats the watchdog.
+
+        ``None`` marks the end of the stream: the demux gives up on a
+        split tail and recovers any control frame behind it
+        (:meth:`~repro.gateway.protocol.ControlDemux.finish`).
+        """
+        if data is None:
+            return self._demux.finish()
         self.bytes_in += len(data)
         self.watchdog.beat()
         return self._demux.feed(data)
 
     def offer(self, chunk: bytes) -> bool:
-        """Queue data bytes for the worker; shed (counted) when full."""
+        """Queue data bytes for the decode plane; shed (counted) when full."""
         if not chunk:
             return True
         try:
@@ -166,28 +180,6 @@ class DeviceSession:
         self.frames_reported = int(event.frames_framed)
         self.faults_reported = int(event.faults_injected)
 
-    # -- worker side ---------------------------------------------------------
-
-    def decode(self, chunk: bytes) -> int:
-        """Decode + ingest one queued chunk; returns frames decoded."""
-        tm = self.telemetry
-        t0 = time.perf_counter()
-        frames = self.decoder.feed(chunk)
-        t1 = time.perf_counter()
-        tm.add_stage_seconds("decode", t1 - t0)
-        self.stream.ingest(frames)
-        tm.add_stage_seconds("ingest", time.perf_counter() - t1)
-        tm.chunks += 1
-        tm.peak_chunk_bytes = max(tm.peak_chunk_bytes, len(chunk))
-        if self.frame_hook is not None:
-            now = self._clock()
-            for frame in frames:
-                self.frame_hook(frame.sequence, now)
-        self._sync_counters()
-        if self.queue.qsize() == 0:
-            self.queue_empty.set()
-        return len(frames)
-
     # -- batch-plane side ----------------------------------------------------
 
     def take_queued(self) -> list[bytes]:
@@ -195,12 +187,9 @@ class DeviceSession:
         chunks: list[bytes] = []
         while True:
             try:
-                chunk = self.queue.get_nowait()
+                chunks.append(self.queue.get_nowait())
             except asyncio.QueueEmpty:
-                break
-            if chunk is not None:
-                chunks.append(chunk)
-        return chunks
+                return chunks
 
     def stage_pending(self) -> batchdecode.Staged | None:
         """Drain the queue and scan the tiled prefix; ``None`` if idle.
@@ -241,9 +230,11 @@ class DeviceSession:
         return frames
 
     def finalize(self) -> None:
-        """End of stream: drain the demux tail and the decoder.
+        """End of stream: finish the demux, then drain the decoder.
 
-        With a BYE in hand this also closes frame conservation exactly:
+        A BYE the demux recovers from behind a truncated last frame is
+        booked here too. With a BYE in hand this also closes frame
+        conservation exactly:
         any frames the device framed that neither arrived nor left a
         sequence gap (a fault ate the stream tail) are booked as
         ``tail_lost_frames`` — without this, every run whose last frame
@@ -254,7 +245,10 @@ class DeviceSession:
         if self.finalized:
             return
         self.finalized = True
-        tail = self._demux.drain()
+        tail, events = self._demux.finish()
+        for event in events:
+            if event.kind == "bye":
+                self.note_bye(event)
         if tail:
             self.stream.ingest(self.decoder.feed(tail))
         self.stream.ingest(self.decoder.finalize())

@@ -216,6 +216,29 @@ class ControlDemux:
         if not data:
             return b"", []
         self._buffer += data
+        return self._parse()
+
+    def finish(self) -> tuple[bytes, list[ControlEvent]]:
+        """End of stream: give up on the split tail, keep what it hid.
+
+        Whatever is still buffered is a frame no later byte will
+        complete. Its first byte goes to the data plane as garbage and
+        the rest is parsed again, until the buffer is empty. So a data
+        frame cut short right before the BYE no longer takes the BYE's
+        bytes as its own: the CRC-valid BYE comes back as an event, and
+        the truncated frame's bytes reach the decoder, which accounts
+        for them. Nothing is discarded.
+        """
+        out = bytearray()
+        events: list[ControlEvent] = []
+        while self._buffer:
+            out.append(self._buffer.pop(0))
+            data, more = self._parse()
+            out += data
+            events += more
+        return bytes(out), events
+
+    def _parse(self) -> tuple[bytes, list[ControlEvent]]:
         buf = self._buffer
         out = bytearray()
         events: list[ControlEvent] = []
@@ -268,10 +291,11 @@ class ControlDemux:
         return bytes(out), events
 
     def drain(self) -> bytes:
-        """End of stream: surrender any split-frame tail as data bytes.
+        """Hand the buffered split-frame tail over as raw bytes.
 
-        The decoder's ``finalize`` then accounts for whatever the tail
-        held; nothing buffered is ever silently discarded.
+        The gateway's HELLO probe uses this to pass what follows the
+        HELLO to the session's own demux, which parses it again; at the
+        end of a stream use :meth:`finish` instead.
         """
         rest = bytes(self._buffer)
         self._buffer.clear()

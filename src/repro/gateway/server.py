@@ -10,10 +10,13 @@ last acknowledged sequence instead of losing data.
 
 Robustness structure:
 
-* **Isolation** — every connection has its own reader task, worker
-  task, decoder and bounded queue; a sick or slow connection degrades
-  only itself (its queue sheds, counted) while healthy connections run
-  untouched.
+* **Isolation** — every connection has its own reader task, decoder
+  and bounded queue; a sick or slow connection degrades only itself
+  (its queue sheds, counted) while healthy connections run untouched.
+* **One decode plane** — every session is a lane of the shared
+  :class:`~repro.gateway.batchplane.BatchPlane`, which drains all
+  queues in micro-batched ticks; :class:`~repro.daq.usb.FrameDecoder`
+  stays the reference it must reproduce bit for bit.
 * **Watchdog** — a single ticker walks every session's
   :class:`~repro.gateway.watchdog.Watchdog`: DEGRADED connections are
   probed with a DLE, RECONNECTING ones lose their socket but keep
@@ -34,7 +37,7 @@ import contextlib
 import json
 
 from ..core.session import PipelineTelemetry
-from ..errors import ConfigurationError, GatewayError
+from ..errors import GatewayError
 from .batchplane import BatchPlane
 from .connection import DeviceSession
 from .protocol import ControlDemux, ControlEvent, heartbeat, pack_ack
@@ -75,16 +78,10 @@ class GatewayServer:
         encoders' ``samples_per_frame``), so frame-loss gaps are booked
         as full frames even across chunk flush boundaries. ``None``
         keeps the legacy follower-size estimate.
-    decode_plane:
-        ``"batch"`` (default) decodes every connection through the
-        shared :class:`~repro.gateway.batchplane.BatchPlane` scheduler;
-        ``"worker"`` keeps the legacy per-session worker tasks. Both
-        planes are bit-identical per device (asserted by the property
-        tests); batch amortizes the Python deframe/CRC cost fleet-wide.
     flush_bytes / max_latency_s:
         Batch-plane flush policy: tick when this many bytes are
         pending, or this long after the first pending byte, whichever
-        comes first. Ignored in worker mode.
+        comes first.
     """
 
     def __init__(
@@ -98,14 +95,9 @@ class GatewayServer:
         metrics_port: int | None = None,
         output_rate_hz: float = 1000.0,
         samples_per_frame: int | None = None,
-        decode_plane: str = "batch",
         flush_bytes: int = 64 * 1024,
         max_latency_s: float = 0.002,
     ):
-        if decode_plane not in ("batch", "worker"):
-            raise ConfigurationError(
-                "decode_plane must be 'batch' or 'worker'"
-            )
         self.host = host
         self.port = int(port)
         self.queue_chunks = int(queue_chunks)
@@ -115,10 +107,9 @@ class GatewayServer:
         self.metrics_port = metrics_port
         self.output_rate_hz = float(output_rate_hz)
         self.samples_per_frame = samples_per_frame
-        self.decode_plane = decode_plane
-        self.flush_bytes = int(flush_bytes)
-        self.max_latency_s = float(max_latency_s)
-        self.plane: BatchPlane | None = None
+        self.plane = BatchPlane(
+            flush_bytes=flush_bytes, max_latency_s=max_latency_s
+        )
         self.sessions: dict[int, DeviceSession] = {}
         #: Server-level counters.
         self.connections_accepted = 0
@@ -126,13 +117,13 @@ class GatewayServer:
         self._server: asyncio.AbstractServer | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
         self._ticker: asyncio.Task | None = None
-        self._workers: dict[int, asyncio.Task] = {}
         self._writers: dict[int, asyncio.StreamWriter] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> tuple[str, int]:
-        """Bind, start the watchdog ticker; returns ``(host, port)``."""
+        """Bind, start the decode plane and the watchdog ticker; returns
+        ``(host, port)``."""
         if self._server is not None:
             raise GatewayError("gateway already started")
         self._server = await asyncio.start_server(
@@ -146,12 +137,7 @@ class GatewayServer:
             self.metrics_port = (
                 self._metrics_server.sockets[0].getsockname()[1]
             )
-        if self.decode_plane == "batch":
-            self.plane = BatchPlane(
-                flush_bytes=self.flush_bytes,
-                max_latency_s=self.max_latency_s,
-            )
-            self.plane.start()
+        self.plane.start()
         self._ticker = asyncio.create_task(self._tick())
         return self.host, self.port
 
@@ -169,25 +155,10 @@ class GatewayServer:
             self._ticker = None
         for writer in list(self._writers.values()):
             writer.close()
-        # Workers drain what is queued, then exit on the None sentinel;
-        # a worker whose queue is too full to take the sentinel is
-        # cancelled instead (its backlog is already accounted as shed
-        # or surfaces as lost frames at finalize).
-        for device_id, task in list(self._workers.items()):
-            session = self.sessions.get(device_id)
-            try:
-                if session is not None:
-                    session.queue.put_nowait(None)
-            except asyncio.QueueFull:
-                task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-        self._workers.clear()
         self._writers.clear()
-        if self.plane is not None:
-            # Final tick: whatever the readers queued is decoded before
-            # the books close, mirroring the workers' sentinel drain.
-            await self.plane.stop()
+        # Final tick: whatever the readers queued is decoded before the
+        # books close.
+        await self.plane.stop()
         for session in self.sessions.values():
             session.finalize()
 
@@ -195,10 +166,9 @@ class GatewayServer:
         """Wait until every ingest queue has been decoded empty (True)
         or time out.
 
-        Event-driven: each session's ``queue_empty`` event is set by its
-        consumer (worker task or batch plane) the moment the last queued
-        chunk is decoded, so drain returns promptly instead of polling
-        on a sleep loop.
+        Event-driven: each session's ``queue_empty`` event is set by the
+        batch plane the moment the last queued chunk is decoded, so
+        drain returns promptly instead of polling on a sleep loop.
         """
         try:
             await asyncio.wait_for(self._drained(), timeout=timeout_s)
@@ -283,48 +253,23 @@ class GatewayServer:
         if session is None or session.state is ConnectionState.DEAD:
             # New device — or a dead one returning: its old state was
             # closed out, so it starts a fresh stream either way.
-            session = DeviceSession(
-                device_id=hello.device_id,
-                queue_chunks=self.queue_chunks,
-                watchdog=Watchdog(*self.watchdog_config),
-                output_rate_hz=self.output_rate_hz,
-                samples_per_frame=self.samples_per_frame,
-            )
-            self._attach(session)
+            session = self._attach(hello.device_id)
             if not hello.resume:
                 session.fresh_start()
         elif hello.resume:
             session.reconnects += 1
             session.watchdog.revive()
-            if self.plane is not None:
-                # Catch the decoder up before ACKing, so the resume
-                # point reflects every byte already received.
-                self.plane.flush_lane(session)
+            # Catch the decoder up before ACKing, so the resume point
+            # reflects every byte already received.
+            self.plane.flush_lane(session)
         else:
             # Same id, fresh stream: the device restarted. Close the old
-            # books and start over in place.
+            # books, drop its undecoded backlog and start over in place.
             session.finalize()
-            old_session = session
-            old_hook = session.frame_hook
-            session = DeviceSession(
-                device_id=hello.device_id,
-                queue_chunks=self.queue_chunks,
-                watchdog=Watchdog(*self.watchdog_config),
-                output_rate_hz=self.output_rate_hz,
-                samples_per_frame=self.samples_per_frame,
-            )
-            session.frame_hook = old_hook
-            if self.plane is not None:
-                # Drop the restarted stream's undecoded backlog, as
-                # cancelling its worker would.
-                self.plane.detach(old_session)
-            else:
-                old_worker = self._workers.get(hello.device_id)
-                if old_worker is not None:
-                    old_worker.cancel()
-                    with contextlib.suppress(asyncio.CancelledError):
-                        await old_worker
-            self._attach(session)
+            self.plane.detach(session)
+            hook = session.frame_hook
+            session = self._attach(hello.device_id)
+            session.frame_hook = hook
             session.fresh_start()
         session.connections += 1
         self._writers[session.device_id] = writer
@@ -342,23 +287,30 @@ class GatewayServer:
             self._ingest(session, tail, writer)
         return session
 
-    def _attach(self, session: DeviceSession) -> None:
-        """Register a session with whichever decode plane is active."""
-        self.sessions[session.device_id] = session
-        if self.plane is not None:
-            self.plane.attach(session)
-        else:
-            self._workers[session.device_id] = asyncio.create_task(
-                self._work(session)
-            )
+    def _attach(self, device_id: int) -> DeviceSession:
+        """A new session for ``device_id``, a lane of the decode plane."""
+        session = DeviceSession(
+            device_id=device_id,
+            queue_chunks=self.queue_chunks,
+            watchdog=Watchdog(*self.watchdog_config),
+            output_rate_hz=self.output_rate_hz,
+            samples_per_frame=self.samples_per_frame,
+        )
+        self.sessions[device_id] = session
+        self.plane.attach(session)
+        return session
 
     def _ingest(
         self,
         session: DeviceSession,
-        data: bytes,
+        data: bytes | None,
         writer: asyncio.StreamWriter,
     ) -> None:
-        """Reader-side: demux one read, act on control, queue the data."""
+        """Reader-side: demux one read, act on control, queue the data.
+
+        ``None`` is the end of the stream (see
+        :meth:`~repro.gateway.connection.DeviceSession.demux`).
+        """
         data_bytes, events = session.demux(data)
         for event in events:
             if event.kind == "heartbeat":
@@ -368,7 +320,7 @@ class GatewayServer:
                 session.note_bye(event)
             # Mid-stream HELLO/ACK frames are protocol noise; their
             # bytes were already counted by the demux.
-        if session.offer(data_bytes) and self.plane is not None:
+        if session.offer(data_bytes):
             self.plane.notify(session, len(data_bytes))
 
     async def _pump(
@@ -382,20 +334,15 @@ class GatewayServer:
             if not data:
                 break
             self._ingest(session, data, writer)
+        if self._writers.get(session.device_id) is writer:
+            # End of the current connection's stream (a stale handler
+            # must not cut into a resumed one's split frame): a BYE
+            # behind a truncated last frame is only recovered here.
+            self._ingest(session, None, writer)
         if session.bye_seen:
             # Clean close: drain what is queued, then close the books.
             await self._drain_session(session)
             session.finalize()
-
-    async def _work(self, session: DeviceSession) -> None:
-        """Per-session worker: the only consumer of the ingest queue."""
-        while True:
-            chunk = await session.queue.get()
-            if chunk is None:
-                break
-            session.decode(chunk)
-            # Yield so one hot connection cannot monopolize the loop.
-            await asyncio.sleep(0)
 
     async def _drain_session(self, session: DeviceSession) -> None:
         while not session.queue_empty.is_set():
@@ -466,7 +413,6 @@ class GatewayServer:
             "server": {
                 "connections_accepted": self.connections_accepted,
                 "handshake_failures": self.handshake_failures,
-                "decode_plane": self.decode_plane,
                 "sessions": len(self.sessions),
                 "healthy": sum(
                     1 for s in states if s is ConnectionState.HEALTHY
@@ -501,9 +447,7 @@ class GatewayServer:
                     s.reconnects for s in self.sessions.values()
                 ),
             },
-            "batch_plane": (
-                self.plane.metrics() if self.plane is not None else None
-            ),
+            "batch_plane": self.plane.metrics(),
             "connections": connections,
         }
 

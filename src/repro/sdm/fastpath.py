@@ -17,26 +17,24 @@ layers, both *bit-identical* to the reference loop in
   loaded through :mod:`ctypes`. The kernel performs the identical
   IEEE-754 double operations in the identical order (compiled with
   FP contraction disabled), which is what makes bitstreams bit-identical
-  rather than merely statistically equivalent. When no C compiler is
-  available the same recurrence runs as a tightened pure-Python loop —
-  slower, but still exact, so results never depend on the toolchain.
+  rather than merely statistically equivalent.
 
 The kernel covers deterministic comparators (ideal, offset, hysteresis).
-Metastable comparators draw randomness *inside* the loop; callers are
-expected to route those to the reference implementation (see
-:meth:`repro.sdm.modulator.SecondOrderSDM.simulate`).
+Metastable comparators draw randomness *inside* the loop, and without a
+C compiler there is no kernel at all; both run the reference loop
+instead (the dispatch is
+:meth:`repro.sdm.modulator.SecondOrderSDM._run_prepared`), so results
+never depend on the toolchain.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
-import shutil
-import subprocess
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..native import NativeKernel
 
 _KERNEL_C_SOURCE = r"""
 #include <stdint.h>
@@ -126,49 +124,8 @@ long long sdm_run(long long n,
 
 _CFLAGS = ["-O2", "-ffp-contract=off", "-fno-fast-math", "-fPIC", "-shared"]
 
-# Module-level kernel cache: None = not tried yet, False = unavailable,
-# otherwise the loaded ctypes function.
-_kernel: object = None
 
-
-def _try_compile_kernel():
-    """Compile and load the C kernel; return the bound function or None.
-
-    The shared object is built in a private temporary directory that is
-    removed as soon as the object is loaded or the build fails (the
-    loaded library stays mapped without its file). Any failure — no
-    compiler, sandboxed filesystem, unloadable object — degrades
-    silently to the Python fallback.
-    """
-    compilers = [os.environ.get("REPRO_CC"), "cc", "gcc", "clang"]
-    build_dir = tempfile.mkdtemp(prefix="repro-sdm-kernel-")
-    src = os.path.join(build_dir, "sdm_kernel.c")
-    lib_path = os.path.join(build_dir, "sdm_kernel.so")
-    try:
-        with open(src, "w") as fh:
-            fh.write(_KERNEL_C_SOURCE)
-        for cc in compilers:
-            if not cc:
-                continue
-            try:
-                result = subprocess.run(
-                    [cc, *_CFLAGS, "-o", lib_path, src],
-                    capture_output=True,
-                    timeout=60,
-                )
-            except (OSError, subprocess.SubprocessError):
-                continue
-            if result.returncode == 0 and os.path.exists(lib_path):
-                break
-        else:
-            return None
-        lib = ctypes.CDLL(lib_path)
-    except OSError:
-        return None
-    finally:
-        # A loaded object stays mapped once its file is gone, so the
-        # build directory never outlives this call.
-        shutil.rmtree(build_dir, ignore_errors=True)
+def _bind(lib: ctypes.CDLL):
     fn = lib.sdm_run
     dbl_p = ctypes.POINTER(ctypes.c_double)
     fn.restype = ctypes.c_longlong
@@ -198,16 +155,12 @@ def _try_compile_kernel():
     return fn
 
 
-def _get_kernel():
-    global _kernel
-    if _kernel is None:
-        _kernel = _try_compile_kernel() or False
-    return _kernel or None
+_KERNEL = NativeKernel("sdm", _KERNEL_C_SOURCE, _CFLAGS, _bind)
 
 
 def kernel_available() -> bool:
     """True when the compiled C kernel could be built and loaded."""
-    return _get_kernel() is not None
+    return _KERNEL.available()
 
 
 @dataclass
@@ -245,15 +198,19 @@ def run_loop(
     comp_offset: float = 0.0,
     comp_hysteresis: float = 0.0,
     comp_previous: int = 1,
-    force_python: bool = False,
 ) -> LoopResult:
-    """Run the prepared recurrence through the fastest available engine.
+    """Run the prepared recurrence through the compiled kernel.
 
     ``au`` must already be ``a1 * u`` (the precomputed input branch) and
     ``noise`` the fully-drawn per-sample noise so the kernel stays
-    deterministic. ``force_python`` pins the pure-Python engine — used by
-    the equivalence tests to prove both engines agree bit-for-bit.
+    deterministic. The caller checks :func:`kernel_available` first;
+    there is no Python engine at this layer.
     """
+    kernel = _KERNEL.get()
+    if kernel is None:
+        raise RuntimeError(
+            "sigma-delta kernel unavailable; run the reference loop"
+        )
     n = int(au.size)
     au = np.ascontiguousarray(au, dtype=np.float64)
     noise = np.ascontiguousarray(noise, dtype=np.float64)
@@ -262,85 +219,39 @@ def run_loop(
     bits = np.empty(n, dtype=np.int8)
     states = np.empty((n, 2), dtype=np.float64) if record_states else None
 
-    kernel = None if force_python else _get_kernel()
-    if kernel is not None:
-        dbl_p = ctypes.POINTER(ctypes.c_double)
-        state = np.array([x1, x2], dtype=np.float64)
-        clipped = ctypes.c_longlong(0)
-        prev_out = ctypes.c_int(comp_previous)
-        rc = kernel(
-            n,
-            au.ctypes.data_as(dbl_p),
-            noise.ctypes.data_as(dbl_p),
-            dac_noise.ctypes.data_as(dbl_p) if dac_noise is not None else None,
-            dac_gain,
-            p1,
-            b1,
-            p2,
-            a2,
-            b2,
-            swing,
-            state.ctypes.data_as(dbl_p),
-            bits.ctypes.data_as(ctypes.POINTER(ctypes.c_int8)),
-            states.ctypes.data_as(dbl_p) if states is not None else None,
-            1 if raise_on_clip else 0,
-            1 if ideal_comparator else 0,
-            comp_offset,
-            comp_hysteresis,
-            comp_previous,
-            ctypes.byref(clipped),
-            ctypes.byref(prev_out),
-        )
-        return LoopResult(
-            bits=bits,
-            clipped=int(clipped.value),
-            states=states,
-            x1=float(state[0]),
-            x2=float(state[1]),
-            comp_previous=int(prev_out.value),
-            overload_index=int(rc) - 1 if rc > 0 else -1,
-        )
-
-    # -- pure-Python engine: the identical recurrence, tightened --------------
-    prev = comp_previous
-    clipped_count = 0
-    for i in range(n):
-        if ideal_comparator:
-            v = 1.0 if x2 >= 0.0 else -1.0
-        else:
-            threshold = comp_offset - 0.5 * comp_hysteresis * prev
-            margin = x2 - threshold
-            prev = 1 if margin >= 0.0 else -1
-            v = float(prev)
-        fb = v * dac_gain
-        if dac_noise is not None:
-            fb += dac_noise[i]
-        x1_new = p1 * x1 + au[i] - b1 * fb + noise[i]
-        x2_new = p2 * x2 + a2 * x1 - b2 * fb
-        if x1_new > swing or x1_new < -swing or x2_new > swing or x2_new < -swing:
-            clipped_count += 1
-            if raise_on_clip:
-                return LoopResult(
-                    bits=bits,
-                    clipped=clipped_count,
-                    states=states,
-                    x1=float(x1_new),
-                    x2=float(x2_new),
-                    comp_previous=prev,
-                    overload_index=i,
-                )
-            x1_new = min(max(x1_new, -swing), swing)
-            x2_new = min(max(x2_new, -swing), swing)
-        x1, x2 = x1_new, x2_new
-        bits[i] = 1 if v > 0 else -1
-        if states is not None:
-            states[i, 0] = x1
-            states[i, 1] = x2
+    dbl_p = ctypes.POINTER(ctypes.c_double)
+    state = np.array([x1, x2], dtype=np.float64)
+    clipped = ctypes.c_longlong(0)
+    prev_out = ctypes.c_int(comp_previous)
+    rc = kernel(
+        n,
+        au.ctypes.data_as(dbl_p),
+        noise.ctypes.data_as(dbl_p),
+        dac_noise.ctypes.data_as(dbl_p) if dac_noise is not None else None,
+        dac_gain,
+        p1,
+        b1,
+        p2,
+        a2,
+        b2,
+        swing,
+        state.ctypes.data_as(dbl_p),
+        bits.ctypes.data_as(ctypes.POINTER(ctypes.c_int8)),
+        states.ctypes.data_as(dbl_p) if states is not None else None,
+        1 if raise_on_clip else 0,
+        1 if ideal_comparator else 0,
+        comp_offset,
+        comp_hysteresis,
+        comp_previous,
+        ctypes.byref(clipped),
+        ctypes.byref(prev_out),
+    )
     return LoopResult(
         bits=bits,
-        clipped=clipped_count,
+        clipped=int(clipped.value),
         states=states,
-        x1=float(x1),
-        x2=float(x2),
-        comp_previous=prev,
+        x1=float(state[0]),
+        x2=float(state[1]),
+        comp_previous=int(prev_out.value),
+        overload_index=int(rc) - 1 if rc > 0 else -1,
     )

@@ -79,12 +79,11 @@ class SecondOrderSDM:
     rng:
         Random generator; a fixed default keeps runs reproducible.
     backend:
-        ``"fast"`` (default) runs the recurrence through
-        :mod:`repro.sdm.fastpath` — a compiled kernel when a C compiler
-        is available, an equivalent tightened Python loop otherwise.
-        ``"reference"`` pins the original cycle-accurate Python loop.
-        Both produce bit-identical bitstreams for any deterministic
-        comparator, so the switch trades only wall-time.
+        ``"fast"`` (default) runs the recurrence through the compiled
+        kernel of :mod:`repro.sdm.fastpath` — or, with no C compiler,
+        through the reference loop. ``"reference"`` pins the original
+        cycle-accurate Python loop. Both produce bit-identical
+        bitstreams, so the switch trades only wall-time.
     """
 
     def __init__(
@@ -290,7 +289,33 @@ class SecondOrderSDM:
             )
 
         u, noise, dac_noise, dac_gain = self._prepare_inputs(u)
-        if backend == "fast" and self.comparator.metastable_band_v == 0.0:
+        return self._run_prepared(
+            u, noise, dac_noise, dac_gain, record_states, overload_policy,
+            backend,
+        )
+
+    def _run_prepared(
+        self,
+        u: np.ndarray,
+        noise: np.ndarray,
+        dac_noise: np.ndarray | None,
+        dac_gain: float,
+        record_states: bool,
+        overload_policy: str,
+        backend: str = "fast",
+    ) -> ModulatorOutput:
+        """Run a prepared block on the compiled kernel or the reference loop.
+
+        The one fast-or-reference dispatch: the kernel takes the block
+        when the fast backend is asked for, the comparator draws nothing
+        inside the loop and the kernel could be built; anything else
+        runs the reference loop. Both give the same bits.
+        """
+        if (
+            backend == "fast"
+            and self.comparator.metastable_band_v == 0.0
+            and fastpath.kernel_available()
+        ):
             return self._simulate_fast(
                 u, noise, dac_noise, dac_gain, record_states, overload_policy
             )

@@ -15,8 +15,10 @@ from repro.array import fusedscan
 from repro.array.fusedscan import RowSource
 from repro.array.imaging import amplitude_image
 from repro.array.scan import ScanController
-from repro.batch import batch_kernel_available
+from repro.batch import BatchChainEngine, batch_kernel_available
+from repro.batch.engine import kernel_declines
 from repro.core.chain import ReadoutChain
+from repro.dsp.cic import CICDecimator
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments import run_imaging
 from repro.params import ArrayParams, NonidealityParams, SystemParams
@@ -243,6 +245,36 @@ class TestBitIdentity:
         assert np.array_equal(fused[:n], reference)
 
 
+def _metastable(chain):
+    chain.chip.modulator.comparator.metastable_band_v = 1e-3
+
+
+def _zero_dac_gain(chain):
+    chain.chip.modulator.dac.reference_error = -1.0
+
+
+def _cic(**kwargs):
+    def swap(chain):
+        cic = chain.fpga.filter.cic
+        chain.fpga.filter.cic = CICDecimator(
+            order=kwargs.get("order", cic.order),
+            decimation=cic.decimation,
+            input_bits=cic.input_bits,
+            diff_delay=kwargs.get("diff_delay", cic.diff_delay),
+        )
+
+    return swap
+
+
+#: Every chain the fused chain kernel declines (``kernel_declines``).
+ENGINE_DECLINES = {
+    "metastable-comparator": _metastable,
+    "zero-dac-gain": _zero_dac_gain,
+    "cic-order-4": _cic(order=4),
+    "cic-diff-delay-2": _cic(diff_delay=2),
+}
+
+
 class TestFallback:
     def test_noisy_chain_falls_back_to_batched(self):
         """Outside the kernel envelope the scan still completes."""
@@ -252,6 +284,17 @@ class TestFallback:
         records = controller.scan_records(chain, segments=segments, fused=True)
         assert not controller.last_scan_fused
         assert records.ndim == 2 and records.shape[1] == 4
+
+    @pytest.mark.parametrize("decline", sorted(ENGINE_DECLINES))
+    def test_engine_declines_also_decline_the_scan(self, decline):
+        """The scan shares the engine's decline policy, case by case."""
+        chain = make_chain(2, 2)
+        assert not kernel_declines(chain)
+        assert fusedscan.fused_scan_supported(chain) == batch_kernel_available()
+        ENGINE_DECLINES[decline](chain)
+        assert kernel_declines(chain)
+        assert not BatchChainEngine([chain]).uses_kernel
+        assert not fusedscan.fused_scan_supported(chain)
 
     def test_segments_require_batched_or_fused(self):
         from repro.errors import ConfigurationError

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.batch import BatchAcquisitionSession, BatchChainEngine
+from repro.batch import kernel as batch_kernel
 from repro.core.chain import ReadoutChain
 from repro.core.session import AcquisitionSession
 from repro.errors import ConfigurationError
@@ -83,17 +84,21 @@ class TestBitIdentity:
                     ref.telemetry, counter
                 ), counter
 
-    def test_kernel_matches_fallback(self):
-        """force_python engine and the kernel agree bit-for-bit."""
+    def test_kernel_matches_fallback(self, monkeypatch):
+        """The per-lane fallback engine and the kernel agree bit-for-bit."""
         B, n = 2, 1_280
         n_el = make_chain(0).chip.mux.array.n_elements
         fields = [pressure_field(n, n_el, seed=l) for l in range(B)]
         outs = []
-        for force in (False, True):
+        for fallback in (False, True):
+            if fallback:
+                monkeypatch.setattr(
+                    batch_kernel, "batch_kernel_available", lambda: False
+                )
             chains = [make_chain(40 + l) for l in range(B)]
-            sess = BatchAcquisitionSession(
-                chains, element=1, force_python=force
-            )
+            sess = BatchAcquisitionSession(chains, element=1)
+            if fallback:
+                assert not sess.engine.uses_kernel
             sess.feed_pressure(fields)
             sess.finish()
             outs.append([sess.codes(l) for l in range(B)])

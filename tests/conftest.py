@@ -9,9 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.mems.membrane import MembraneSensor
 from repro.params import SystemParams, paper_defaults
+
+#: The gateway decode oracle's deep run (batch plane == FrameDecoder),
+#: selected with ``--hypothesis-profile=decode-oracle``; only
+#: ``tests/properties/test_batchplane_props.py`` reads this budget.
+settings.register_profile("decode-oracle", max_examples=400)
 
 
 @pytest.fixture(scope="session")

@@ -117,6 +117,24 @@ class TestDemuxInterleaving:
         data_bytes, _ = ControlDemux().feed(bytes(data))
         assert data_bytes == bytes(data)
 
+    def test_finish_recovers_bye_behind_truncated_frame(self):
+        """A data frame cut short right before the BYE claims the BYE's
+        bytes as its own; at end of stream the claim is given up."""
+        enc = FrameEncoder(samples_per_frame=8)
+        data = enc.push(np.full(24, 0x222, dtype=np.int16), 0)
+        size = len(data) // 3
+        cut = data[: 2 * size + 10]
+        demux = ControlDemux()
+        data_bytes, events = demux.feed(cut + pack_bye(3, 1))
+        assert data_bytes == data[: 2 * size]
+        assert events == []  # still waiting for the claimed frame
+        tail, events = demux.finish()
+        assert tail == cut[2 * size :]  # the truncated frame, as data
+        assert [e.kind for e in events] == ["bye"]
+        assert (events[0].frames_framed, events[0].faults_injected) == (3, 1)
+        assert demux.buffered == 0
+        assert demux.finish() == (b"", [])
+
     def test_drain_surrenders_split_tail(self):
         data = _data_payload(1)
         demux = ControlDemux()

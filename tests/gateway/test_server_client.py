@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.chain import ReadoutChain
+from repro.daq.usb import FrameEncoder
 from repro.errors import GatewayError
 from repro.gateway.client import (
     DeviceClient,
@@ -19,6 +20,7 @@ from repro.gateway.client import (
     expected_codes,
     synthetic_payloads,
 )
+from repro.gateway.protocol import pack_bye, pack_hello
 from repro.gateway.server import GatewayServer
 
 
@@ -327,6 +329,40 @@ class TestFailureModes:
 
 
 class TestCloseUnderChaos:
+    def test_truncated_last_frame_keeps_the_bye(self):
+        """The frame before BYE is cut short, then the device half-closes.
+
+        The demux waits for the rest of the truncated frame's claimed
+        length, which the BYE's bytes would otherwise fill; at EOF the
+        gateway gives the claim up and books the BYE behind it.
+        """
+        frames, spf = 12, 16
+        payload = FrameEncoder(samples_per_frame=spf).push(
+            np.arange(frames * spf, dtype=np.int16), 0
+        )
+        size = len(payload) // frames
+        wire = pack_hello(11) + payload[: -size // 2] + pack_bye(frames, 1)
+
+        async def body(server):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            writer.write(wire)
+            await writer.drain()
+            writer.write_eof()
+            await reader.read()  # ACKs, until the gateway closes
+            writer.close()
+            await writer.wait_closed()
+            assert await server.drain()
+            session = server.sessions[11]
+            return session.bye_seen, session.telemetry_view()
+
+        bye_seen, view = _run(_with_server(body))
+        assert bye_seen
+        assert view.frames_decoded == frames - 1
+        assert view.frames_decoded + view.lost_frames == frames
+        assert view.frames_unaccounted == 0
+
     def test_saturating_chaos_client_books_every_frame(self):
         """After BYE the client half-closes and reads its ACKs to EOF.
 
@@ -335,21 +371,20 @@ class TestCloseUnderChaos:
         with those still unread makes the kernel reset the connection,
         and the gateway loses every byte it had not read yet — silently,
         since its books then close at decoded + lost. The fault schedule
-        ends one payload group before the stream does: a truncated final
-        frame swallowing the BYE behind it is a separate demux defect.
+        runs to the end of the stream, so a truncated final frame in
+        front of the BYE is covered too.
         """
         from repro.faults import FaultInjector, FaultSpec
         from repro.gateway.chaos import CHAOS_KINDS
 
         frames, spf, coalesce, frame_rate_hz = 65_536, 32, 8, 50.0
-        clean_tail = 64
         faults = FaultInjector(
             [
                 FaultSpec(kind=kind, rate_hz=1.0, magnitude=m)
                 for kind, m in zip(CHAOS_KINDS, (1.0, 0.5, 1.0, 1.0))
             ],
             seed=5,
-            horizon_s=(frames - clean_tail) / frame_rate_hz,
+            horizon_s=frames / frame_rate_hz,
         )
 
         async def body(server):

@@ -1,25 +1,31 @@
-"""Property: the batch decode plane == N independent per-session decodes.
+"""Property: the batch decode plane == N independent reference decodes.
 
-The tentpole's correctness gate, stated as a hypothesis property: for
-any fleet of devices — any payload shapes, any seeded link-fault
-schedule mangling the wire bytes, any chunk splits, any interleaving of
-batch ticks, resume flushes and mid-run connect/disconnect — every
-device's decode through the shared :class:`~repro.gateway.batchplane.
-BatchPlane` is *bit-identical* to feeding the same chunks through its
-own worker-mode :meth:`~repro.gateway.connection.DeviceSession.decode`
-loop: same decoded/lost/stale/CRC/resync counters, same buffer residue,
-same sample values and gap records, same frame-hook order.
+The gateway's decode oracle, stated as a hypothesis property: for any
+fleet of devices — any payload shapes, any seeded link-fault schedule
+mangling the wire bytes, any chunk splits, any interleaving of batch
+ticks, resume flushes and mid-run connect/disconnect — every device's
+decode through the shared :class:`~repro.gateway.batchplane.BatchPlane`
+is *bit-identical* to feeding the same chunks, one by one, through its
+own :meth:`~repro.daq.usb.FrameDecoder.feed` and
+:meth:`~repro.daq.stream.SampleStream.ingest`: same
+decoded/lost/stale/CRC/resync counters, same buffer residue, same sample
+values and gap records, same frame-hook order.
 
 The plane is driven synchronously (``notify`` + ``flush`` /
 ``flush_lane``), which is exactly what the scheduler task does — the
 async wrapper adds timing, not semantics.
+
+Tier-1 draws 40 fleets. ``--hypothesis-profile=decode-oracle``
+(registered in ``tests/conftest.py``) draws that profile's budget
+instead, 400 fleets.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.daq.usb import FrameEncoder
+from repro.daq.stream import SampleStream
+from repro.daq.usb import FrameDecoder, FrameEncoder
 from repro.faults import FaultInjector, FaultSpec
 from repro.gateway.batchplane import BatchPlane
 from repro.gateway.chaos import CHAOS_KINDS
@@ -78,9 +84,15 @@ def _split(wire: bytes, n_chunks: int, rng) -> list[bytes]:
     return [wire[a:b] for a, b in zip(edges, edges[1:])]
 
 
-class TestPlaneEqualsWorkers:
+def _max_examples() -> int:
+    if settings.get_current_profile_name() == "decode-oracle":
+        return settings().max_examples
+    return 40
+
+
+class TestPlaneEqualsFrameDecoder:
     @given(fleet_cases())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=_max_examples(), deadline=None)
     def test_bit_identical_per_device(self, case):
         devices, ops = case
         rng = np.random.default_rng(len(ops) + 17)
@@ -90,21 +102,21 @@ class TestPlaneEqualsWorkers:
             wire = _device_wire(d, n_frames, spf, faulted)
             chunk_lists.append(_split(wire, n_chunks, rng))
 
-        # Reference: each device decodes alone, worker-style.
-        ref_sessions = []
+        # Reference: each device's chunks fed one by one through its
+        # own decoder and stream, hooks stamped in frame order.
+        refs = []
         ref_hooks: list[list[int]] = []
-        for d, chunks in enumerate(chunk_lists):
-            session = DeviceSession(device_id=d)
-            session.fresh_start()
+        for chunks in chunk_lists:
+            decoder, stream = FrameDecoder(), SampleStream()
+            decoder.expect(0)
+            stream.expect(0)
             hooks: list[int] = []
-            session.frame_hook = (
-                lambda seq, now, hooks=hooks: hooks.append(seq)
-            )
             for chunk in chunks:
-                if chunk:
-                    session.decode(chunk)
-            session.finalize()
-            ref_sessions.append(session)
+                frames = decoder.feed(chunk)
+                stream.ingest(frames)
+                hooks += [frame.sequence for frame in frames]
+            stream.ingest(decoder.finalize())
+            refs.append((decoder, stream))
             ref_hooks.append(hooks)
 
         # Batch plane: same chunks offered round-robin, with ticks,
@@ -148,24 +160,26 @@ class TestPlaneEqualsWorkers:
         for session in plane_sessions:
             session.finalize()
 
-        for d, (ref, bat) in enumerate(zip(ref_sessions, plane_sessions)):
+        for d, ((ref, ref_stream), bat) in enumerate(
+            zip(refs, plane_sessions)
+        ):
             label = f"device {d}"
-            assert ref.decoder.frames_decoded == bat.decoder.frames_decoded, label
-            assert ref.decoder.lost_frames == bat.decoder.lost_frames, label
-            assert ref.decoder.stale_frames == bat.decoder.stale_frames, label
-            assert ref.decoder.crc_errors == bat.decoder.crc_errors, label
-            assert ref.decoder.resync_bytes == bat.decoder.resync_bytes, label
-            assert bytes(ref.decoder._buffer) == bytes(bat.decoder._buffer), label
-            assert ref.stream.samples_ingested == bat.stream.samples_ingested, label
-            assert ref.stream.elements == bat.stream.elements, label
-            for el in ref.stream.elements:
+            assert ref.frames_decoded == bat.decoder.frames_decoded, label
+            assert ref.lost_frames == bat.decoder.lost_frames, label
+            assert ref.stale_frames == bat.decoder.stale_frames, label
+            assert ref.crc_errors == bat.decoder.crc_errors, label
+            assert ref.resync_bytes == bat.decoder.resync_bytes, label
+            assert bytes(ref._buffer) == bytes(bat.decoder._buffer), label
+            assert ref_stream.samples_ingested == bat.stream.samples_ingested, label
+            assert ref_stream.elements == bat.stream.elements, label
+            for el in ref_stream.elements:
                 assert np.array_equal(
-                    ref.stream.samples(el), bat.stream.samples(el)
+                    ref_stream.samples(el), bat.stream.samples(el)
                 ), label
-                assert ref.stream.gaps(el) == bat.stream.gaps(el), label
+                assert ref_stream.gaps(el) == bat.stream.gaps(el), label
             assert ref_hooks[d] == plane_hooks[d], label
-            # Telemetry counters agree (wall-clock stages aside).
-            rv, bv = ref.telemetry_view(), bat.telemetry_view()
-            assert rv.frames_decoded == bv.frames_decoded, label
-            assert rv.lost_frames == bv.lost_frames, label
-            assert rv.words_delivered == bv.words_delivered, label
+            # The session's telemetry books what the reference decoded.
+            bv = bat.telemetry_view()
+            assert bv.frames_decoded == ref.frames_decoded, label
+            assert bv.lost_frames == ref.lost_frames, label
+            assert bv.words_delivered == ref_stream.samples_ingested, label
