@@ -86,6 +86,7 @@ class BatchPlane:
         self.idle = asyncio.Event()
         self.idle.set()
         self._task: asyncio.Task | None = None
+        self._stopping = False
         # -- telemetry -------------------------------------------------------
         self.ticks = 0
         self.size_flushes = 0
@@ -166,10 +167,19 @@ class BatchPlane:
         if self._task is not None:
             raise ConfigurationError("batch plane already started")
         self._started_t = self._clock()
+        self._stopping = False
         self._task = asyncio.create_task(self._run())
 
     async def stop(self) -> None:
-        """Flush whatever is pending, then stop the scheduler task."""
+        """Flush whatever is pending, then stop the scheduler task.
+
+        The scheduler also ends on its own once it sees ``_stopping``:
+        on Python < 3.12, ``asyncio.wait_for`` drops a cancel that lands
+        in the same loop step as the wake-up it waits for (a reader's
+        :meth:`notify`), and the cancel alone would then leave this
+        method waiting forever.
+        """
+        self._stopping = True
         if self.pending_bytes or self._armed:
             self.flush(cause="drain")
         if self._task is not None:
@@ -183,7 +193,7 @@ class BatchPlane:
         return self._pending_bytes
 
     async def _run(self) -> None:
-        while True:
+        while not self._stopping:
             await self._wake.wait()
             self._wake.clear()
             if not self._armed:

@@ -85,6 +85,43 @@ class TestFlushPolicy:
         assert session.decoder.frames_decoded == 3
         assert plane.drain_flushes == 1
 
+    def test_stop_while_a_notify_wakes_the_deadline_wait(self):
+        """A reader's notify and stop() land in the same loop step.
+
+        The scheduler is parked in its deadline wait when new bytes
+        wake it and stop() cancels it before it runs again. The
+        cancellation must still end the task; a wait that takes the
+        wake-up over the cancel leaves stop() waiting forever.
+        """
+
+        payload = _payload(n_frames=6)
+        half = len(payload) // 2
+
+        async def scenario():
+            plane = BatchPlane(flush_bytes=1 << 30, max_latency_s=30.0)
+            plane.start()
+            session = _armed_session(plane, payload=payload[:half])
+            for _ in range(2):  # let the scheduler reach the deadline wait
+                await asyncio.sleep(0)
+            assert session.offer(payload[half:])
+            plane.notify(session, len(payload) - half)
+            # stop() runs in this task, in the same loop step as the
+            # notify. Should the scheduler outlive it, a timer ends it
+            # so the test fails instead of hanging.
+            rescued = []
+            scheduler = plane._task
+            rescue = asyncio.get_running_loop().call_later(
+                2.0, lambda: (rescued.append(True), scheduler.cancel())
+            )
+            await plane.stop()
+            rescue.cancel()
+            return plane, session, rescued
+
+        plane, session, rescued = asyncio.run(scenario())
+        assert not rescued, "the scheduler outlived stop()"
+        assert session.decoder.frames_decoded == 6
+        assert plane.drain_flushes == 1
+
 
 class TestLaneLifecycle:
     def test_flush_lane_decodes_one_backlog(self):
